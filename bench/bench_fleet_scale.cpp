@@ -39,7 +39,7 @@ namespace {
 /// Population/extent preset for the worksite axis. The default preset is
 /// the 16-machine Figure-1-style site every baseline key gates on; the
 /// large preset (4x machines, 4x workers, 4x area) is the fleet-scale
-/// configuration the SoA/work-stealing work targets.
+/// configuration the SoA hot-state work targets.
 struct SitePreset {
   const char* name;
   std::size_t harvesters;
@@ -129,13 +129,13 @@ struct RunResult {
   std::uint64_t parallel_wall_ns = 0;
 };
 
+/// Steps `preset` for `steps` at `threads` shards. A non-null `artifact`
+/// names the telemetry artifact the run writes (<artifact>.telemetry.json).
 RunResult run_worksite(std::size_t threads, std::uint64_t steps,
                        const SitePreset& preset = kDefaultPreset,
-                       sim::Scheduling scheduling = sim::Scheduling::kStatic,
-                       bool write_artifact = false) {
+                       const char* artifact = nullptr) {
   sim::WorksiteConfig config = site_config(preset);
   config.threads = threads;
-  config.scheduling = scheduling;
   sim::Worksite site{config, 42};
 
   Digest events;
@@ -200,9 +200,7 @@ RunResult run_worksite(std::size_t threads, std::uint64_t steps,
     }
   }
   r.parallel_wall_ns = tracer.parallel_wall_ns();
-  if (write_artifact) {
-    obs::write_bench_artifact(site.telemetry(), "bench_fleet_scale");
-  }
+  if (artifact != nullptr) obs::write_bench_artifact(site.telemetry(), artifact);
   return r;
 }
 
@@ -238,6 +236,59 @@ bool utilization_accounting_ok(const RunResult& r) {
     if (busy > r.parallel_wall_ns) return false;
   }
   return true;
+}
+
+struct PresetRun {
+  RunResult serial;
+  RunResult sharded;
+  int mismatches = 0;
+};
+
+/// Steps `preset` serially and at `threads` shards, prints both rates and
+/// the shard table, and checks serial-vs-sharded parity: the metrics,
+/// event and pose digests and the deterministic telemetry export (the
+/// wall-clock annex is excluded by design) must match bit-for-bit, and
+/// the utilization accounting must hold. The sharded run writes the
+/// telemetry artifact `artifact`.
+PresetRun run_preset(const SitePreset& preset, std::uint64_t steps,
+                     std::size_t threads, const char* artifact) {
+  std::printf("worksite [%s]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
+              " %llu steps\n",
+              preset.name, preset.harvesters + preset.forwarders + preset.drones,
+              preset.harvesters, preset.forwarders, preset.drones, preset.workers,
+              static_cast<unsigned long long>(steps));
+  PresetRun r;
+  r.serial = run_worksite(1, steps, preset);
+  std::printf("  threads=1:  %.0f steps/sec\n", r.serial.rate);
+  r.sharded = run_worksite(threads, steps, preset, artifact);
+  std::printf("  threads=%zu: %.0f steps/sec (%.2fx)\n", threads, r.sharded.rate,
+              r.sharded.rate / r.serial.rate);
+  print_utilization(preset.name, r.sharded);
+
+  const auto digest = [&r, &preset](const char* what, std::uint64_t a,
+                                    std::uint64_t b) {
+    if (a == b) return;
+    ++r.mismatches;
+    std::printf("  PARITY MISMATCH [%s]: %s digest %016llx != %016llx\n",
+                preset.name, what, static_cast<unsigned long long>(a),
+                static_cast<unsigned long long>(b));
+  };
+  digest("metrics", r.serial.metrics_digest, r.sharded.metrics_digest);
+  digest("event", r.serial.event_digest, r.sharded.event_digest);
+  digest("pose", r.serial.pose_digest, r.sharded.pose_digest);
+  if (r.serial.telemetry_json != r.sharded.telemetry_json) {
+    ++r.mismatches;
+    std::printf("  PARITY MISMATCH [%s]: deterministic telemetry export differs\n",
+                preset.name);
+  }
+  if (!utilization_accounting_ok(r.sharded)) {
+    ++r.mismatches;
+    std::printf("  ACCOUNTING MISMATCH [%s]: parallel-job wall exceeds phase spans"
+                " (utilization denominator regressed)\n", preset.name);
+  }
+  std::printf("  parity: %d mismatches (threads=1 vs threads=%zu)\n",
+              r.mismatches, threads);
+  return r;
 }
 
 // --- fleet-service --sessions axis -----------------------------------------
@@ -417,19 +468,39 @@ RadioResult run_radio(std::size_t nodes, std::uint64_t steps) {
 int main(int argc, char** argv) {
   agrarsec::obs::consume_artifact_dir_flag(argc, argv);
   bool quick = false;
-  std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  std::size_t threads = hardware;
   std::size_t sessions = 0;  // 0 = default per mode (64 full, 8 quick)
+  // --threads and --sessions take `--flag=N` or `--flag N`; anything else
+  // is a usage error (exit 2), so a typo cannot silently run the defaults.
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
+    const std::string given = argv[i];
+    if (given == "--quick") {
       quick = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<std::size_t>(std::strtoull(arg.c_str() + 10, nullptr, 10));
-      if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      sessions = static_cast<std::size_t>(std::strtoull(arg.c_str() + 11, nullptr, 10));
-    } else if (arg == "--sessions" && i + 1 < argc) {
-      sessions = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      continue;
+    }
+    std::string flag = given;
+    std::string value;
+    if (const std::size_t eq = given.find('='); eq != std::string::npos) {
+      flag = given.substr(0, eq);
+      value = given.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    char* end = nullptr;
+    const auto n = static_cast<std::size_t>(std::strtoull(value.c_str(), &end, 10));
+    const bool numeric = !value.empty() && *end == '\0';
+    if (numeric && flag == "--threads") {
+      threads = n == 0 ? hardware : n;
+    } else if (numeric && flag == "--sessions") {
+      sessions = n;
+    } else {
+      std::fprintf(stderr,
+                   "bench_fleet_scale: bad argument '%s'\n"
+                   "usage: bench_fleet_scale [--quick] [--threads N] [--sessions N]"
+                   " [--artifact-dir DIR]\n",
+                   given.c_str());
+      return 2;
     }
   }
   if (sessions == 0) sessions = quick ? 8 : 64;
@@ -438,28 +509,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>((quick ? 2 : 10) * core::kMinute) / 100;
 
   std::printf("=== fleet-scale hot-loop benchmark ===\n\n");
-  std::printf("worksite [default]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
-              " %llu steps\n",
-              kDefaultPreset.harvesters + kDefaultPreset.forwarders +
-                  kDefaultPreset.drones,
-              kDefaultPreset.harvesters, kDefaultPreset.forwarders,
-              kDefaultPreset.drones, kDefaultPreset.workers,
-              static_cast<unsigned long long>(steps));
-
-  const RunResult serial = run_worksite(1, steps);
-  std::printf("  threads=1:  %.0f steps/sec\n", serial.rate);
-  const RunResult sharded =
-      run_worksite(threads, steps, kDefaultPreset, sim::Scheduling::kStatic,
-                   /*write_artifact=*/true);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [static]\n", threads,
-              sharded.rate, sharded.rate / serial.rate);
-  const RunResult stealing =
-      run_worksite(threads, steps, kDefaultPreset, sim::Scheduling::kWorkStealing);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [work-stealing]\n", threads,
-              stealing.rate, stealing.rate / serial.rate);
-
-  print_utilization("static", sharded);
-  print_utilization("work-stealing", stealing);
+  const PresetRun def = run_preset(kDefaultPreset, steps, threads, "bench_fleet_scale");
+  const RunResult& serial = def.serial;
   std::printf("  cross-check: delivered=%.1fm3 cycles=%llu min_sep=%.2fm"
               " windthrow=%llu reuses=%llu\n",
               serial.metrics.delivered_m3,
@@ -468,78 +519,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(serial.metrics.windthrow_events),
               static_cast<unsigned long long>(serial.metrics.route_reuses));
 
-  // Serial-vs-parallel parity: all three digests must match bit-for-bit.
-  int mismatches = 0;
-  if (serial.metrics_digest != sharded.metrics_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: metrics digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.metrics_digest),
-                static_cast<unsigned long long>(sharded.metrics_digest));
-  }
-  if (serial.event_digest != sharded.event_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: event digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.event_digest),
-                static_cast<unsigned long long>(sharded.event_digest));
-  }
-  if (serial.pose_digest != sharded.pose_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: pose digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.pose_digest),
-                static_cast<unsigned long long>(sharded.pose_digest));
-  }
-  // Telemetry export parity: counters and flight-recorder events must be
-  // byte-identical across thread counts (the wall-clock annex is excluded
-  // from the deterministic export by design).
-  if (serial.telemetry_json != sharded.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: deterministic telemetry export differs\n");
-  }
-  // Work-stealing parity: the chunked self-scheduled assignment must be as
-  // bit-identical to the serial run as the static one is.
-  if (serial.metrics_digest != stealing.metrics_digest ||
-      serial.event_digest != stealing.event_digest ||
-      serial.pose_digest != stealing.pose_digest ||
-      serial.telemetry_json != stealing.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: work-stealing run differs from serial\n");
-  }
-  if (!utilization_accounting_ok(sharded) || !utilization_accounting_ok(stealing)) {
-    ++mismatches;
-    std::printf("  ACCOUNTING MISMATCH: parallel-job wall exceeds phase spans"
-                " (utilization denominator regressed)\n");
-  }
-  std::printf("  parity: %d mismatches (threads=1 vs threads=%zu)\n", mismatches,
-              threads);
-
-  // Large preset: the fleet-scale site the SoA layout and work stealing
-  // target. Serial rate gates in the baseline; the parallel run doubles
-  // as an adaptive-mode parity check at scale.
-  const std::uint64_t large_steps = quick ? 120 : 600;
-  std::printf("\nworksite [large]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
-              " %llu steps\n",
-              kLargePreset.harvesters + kLargePreset.forwarders + kLargePreset.drones,
-              kLargePreset.harvesters, kLargePreset.forwarders, kLargePreset.drones,
-              kLargePreset.workers, static_cast<unsigned long long>(large_steps));
-  const RunResult large_serial = run_worksite(1, large_steps, kLargePreset);
-  std::printf("  threads=1:  %.0f steps/sec\n", large_serial.rate);
-  const RunResult large_sharded =
-      run_worksite(threads, large_steps, kLargePreset, sim::Scheduling::kAdaptive);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [adaptive]\n", threads,
-              large_sharded.rate, large_sharded.rate / large_serial.rate);
-  print_utilization("large adaptive", large_sharded);
-  if (large_serial.metrics_digest != large_sharded.metrics_digest ||
-      large_serial.event_digest != large_sharded.event_digest ||
-      large_serial.pose_digest != large_sharded.pose_digest ||
-      large_serial.telemetry_json != large_sharded.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: large-preset adaptive run differs from serial\n");
-  }
-  if (!utilization_accounting_ok(large_sharded)) {
-    ++mismatches;
-    std::printf("  ACCOUNTING MISMATCH: large-preset parallel-job wall exceeds"
-                " phase spans\n");
-  }
+  // Large preset: the fleet-scale site the SoA layout targets. Serial rate
+  // gates in the baseline; the parallel run doubles as a parity check at
+  // scale and writes the preset's own telemetry artifact.
+  std::printf("\n");
+  const PresetRun large =
+      run_preset(kLargePreset, quick ? 120 : 600, threads, "bench_fleet_scale.large");
+  int mismatches = def.mismatches + large.mismatches;
 
   // Fleet-service axis: N independent secured-worksite sessions batched
   // across the pool, one session per work item. Aggregate throughput is
@@ -589,11 +575,10 @@ int main(int argc, char** argv) {
   // directions, so a behaviour change to the planner cache or the radio
   // loss model cannot hide inside the perf tolerance.
   std::printf("\nBENCH worksite_steps_per_sec=%.0f\n", serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_parallel=%.0f\n", sharded.rate);
-  std::printf("BENCH worksite_steps_per_sec_parallel_ws=%.0f\n", stealing.rate);
-  std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large_serial.rate);
+  std::printf("BENCH worksite_steps_per_sec_parallel=%.0f\n", def.sharded.rate);
+  std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large.serial.rate);
   std::printf("BENCH worksite_steps_per_sec_large_parallel=%.0f\n",
-              large_sharded.rate);
+              large.sharded.rate);
   std::printf("BENCH los_rays_per_sec=%.0f\n", los.rays_per_sec);
   std::printf("BENCH parity_mismatches=%d\n", mismatches);
   std::printf("BENCH fleet_session_steps_per_sec=%.0f\n", fleet_serial.rate);

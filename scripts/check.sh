@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a sanitizer pass
-# (ASan + UBSan) over the subsystems touched by the hot-loop work, then a
-# ThreadSanitizer pass over the parallel-stepping suites.
-# Usage: scripts/check.sh [--full-asan]   (--full-asan runs every test
-# suite under the sanitizers instead of just the hot-loop ones)
+# (ASan + UBSan, halting on the first UBSan report) over every gtest
+# binary, then a ThreadSanitizer pass over the parallel-stepping suites.
+# Usage: scripts/check.sh [--full-asan]   (--full-asan also runs the
+# non-gtest ctest entries — lint, golden and example checks — under the
+# sanitizers)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,12 +43,16 @@ if [[ "${1:-}" == "--full-asan" ]]; then
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 else
-  # The suites covering the spatial index, radio heap, event bus and
-  # worksite compaction paths.
-  cmake --build build-asan -j "$JOBS" --target core_test net_test sim_test
-  ./build-asan/tests/core_test
-  ./build-asan/tests/net_test
-  ./build-asan/tests/sim_test
+  # Every gtest binary. AGRARSEC_SANITIZE builds with
+  # -fno-sanitize-recover=undefined, so a UBSan report fails the binary.
+  SUITES=(core_test crypto_test pki_test obs_test net_test secure_test ids_test
+          sim_test sensors_test safety_test risk_test assurance_test
+          analysis_test sos_test integration_test service_test)
+  cmake --build build-asan -j "$JOBS" --target "${SUITES[@]}"
+  for suite in "${SUITES[@]}"; do
+    echo "-- $suite"
+    "./build-asan/tests/$suite" --gtest_brief=1
+  done
 fi
 
 echo "== sanitizers: TSan over the parallel stepping paths =="

@@ -12,23 +12,16 @@
 //    parallel_for costs two notify/wait handshakes, not thread spawns.
 //  - The calling thread participates as shard 0, so a pool of size N uses
 //    N-1 background workers and never idles the caller.
-//  - Two assignment modes (DESIGN.md §14). kContiguous splits [0, n) into
-//    at most shard_count() contiguous ranges; the split depends only on
-//    (n, shard_count()), never on timing. kWorkStealing hands out fixed
-//    chunks from a shared atomic cursor, so a slow shard sheds work to
-//    idle ones — WHICH thread runs an index is then timing-dependent, but
-//    every index still runs exactly once and the `shard` passed to the
-//    body is the executing participant's stable index, so per-shard
-//    scratch stays single-writer. Callers must not depend on the
-//    index→shard mapping in either mode: work items must be independent
-//    and shared effects slot-buffered for the result to be both
-//    thread-count- and assignment-invariant.
-//  - Exceptions thrown by shard bodies are captured; the first one (in
-//    shard order, which is deterministic under kContiguous and
-//    participant-order under kWorkStealing) is rethrown on the caller.
+//  - One assignment policy (DESIGN.md §14): [0, n) is split into at most
+//    shard_count() contiguous ranges, and the split depends only on
+//    (n, shard_count()), never on timing. Callers must still not depend
+//    on the index→shard mapping: work items must be independent and
+//    shared effects slot-buffered for the result to be thread-count-
+//    invariant.
+//  - Exceptions thrown by shard bodies are captured; the first one in
+//    shard order is rethrown on the caller.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -56,21 +49,10 @@ class ThreadPool {
   /// Total shards (caller + workers), >= 1.
   [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
 
-  /// Work-assignment policy for parallel_for (see the header comment).
-  enum class Assignment : std::uint8_t {
-    kContiguous = 0,    ///< fixed [s*n/S, (s+1)*n/S) ranges
-    kWorkStealing = 1,  ///< chunks claimed from a shared atomic cursor
-  };
-  /// Serial-phase only (never while a job is in flight). The mode may be
-  /// switched freely between jobs: outcomes of well-formed jobs (pure
-  /// per-index work, slot-buffered effects) are assignment-invariant.
-  void set_assignment(Assignment assignment) { assignment_ = assignment; }
-  [[nodiscard]] Assignment assignment() const { return assignment_; }
-
-  /// Shard body: [begin, end) index range plus the shard index (stable
-  /// scratch-buffer key: shard s only ever runs on one thread per job).
-  /// Under kWorkStealing the body is invoked once per claimed chunk, so
-  /// several (begin, end) ranges may arrive for the same shard.
+  /// Shard body: [begin, end) = [s*n/S, (s+1)*n/S) plus the shard index s
+  /// (stable scratch-buffer key: shard s only ever runs on one thread per
+  /// job). Called at most once per shard per job; never for an empty
+  /// range.
   using ShardFn = std::function<void(std::size_t begin, std::size_t end,
                                      std::size_t shard)>;
 
@@ -80,10 +62,9 @@ class ThreadPool {
   void parallel_for(std::size_t n, const ShardFn& fn);
 
   /// Observation hook: called once per participating shard per job with
-  /// the wall-clock nanoseconds the shard spent in the job (all its
-  /// chunks under kWorkStealing). Invoked on the thread that ran the
-  /// shard, so it fires concurrently for different shards — observers
-  /// must be safe for that (per-shard accumulator lanes are enough, see
+  /// the wall-clock nanoseconds the shard spent in the job. Invoked on
+  /// the thread that ran the shard, so it fires concurrently for
+  /// different shards — observers must be safe for that (per-shard accumulator lanes are enough, see
   /// obs::Tracer). Must not be swapped while a job is in flight. Pass
   /// nullptr to disable. Observation-only: the timings must never feed
   /// back into simulation state.
@@ -99,48 +80,26 @@ class ThreadPool {
   using JobObserver = std::function<void(std::uint64_t wall_ns)>;
   void set_job_observer(JobObserver observer) { job_observer_ = std::move(observer); }
 
-  /// Exponential moving average of per-job busy-time imbalance
-  /// (max shard busy / mean shard busy, jobs with n >= shard_count only);
-  /// 0 until a multi-shard job ran. >= 1 by construction; sustained
-  /// values well above 1 mean the contiguous split is leaving shards
-  /// idle, which is the signal adaptive callers use to switch to
-  /// kWorkStealing. Read from serial contexts only. Observation-derived
-  /// but safe to feed into *scheduling* (not simulation state): outcomes
-  /// are assignment-invariant, so when the switch happens cannot be
-  /// observed in any deterministic export.
-  [[nodiscard]] double busy_imbalance() const { return imbalance_ewma_; }
-
  private:
   void worker_loop(std::size_t worker_index);
-  /// Runs one participant's share of the current job (one contiguous
-  /// range or a sequence of stolen chunks), capturing any exception.
+  /// Runs one shard's contiguous range of the current job, capturing any
+  /// exception.
   void run_shard(std::size_t shard);
-  /// Folds the finished job's per-shard busy times into the imbalance
-  /// EWMA. Caller-side, after the completion barrier.
-  void update_imbalance();
 
   std::size_t shard_count_ = 1;
   std::vector<std::thread> workers_;
   ShardObserver observer_;      ///< optional per-shard busy-time tap
   JobObserver job_observer_;    ///< optional per-job wall-time tap
-  Assignment assignment_ = Assignment::kContiguous;
-  double imbalance_ewma_ = 0.0;
 
   std::mutex mutex_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;
   const ShardFn* job_fn_ = nullptr;  ///< valid while a job is in flight
   std::size_t job_n_ = 0;
-  std::size_t job_chunk_ = 1;        ///< chunk size under kWorkStealing
-  Assignment job_assignment_ = Assignment::kContiguous;  ///< frozen per job
-  std::atomic<std::size_t> job_cursor_{0};  ///< next chunk to claim
   std::uint64_t job_generation_ = 0;  ///< bumped to publish a job
   std::size_t shards_remaining_ = 0;
   bool stopping_ = false;
   std::vector<std::exception_ptr> shard_errors_;  ///< one slot per shard
-  /// Per-shard busy ns for the in-flight job (single writer per slot;
-  /// read by the caller after the completion barrier).
-  std::vector<std::uint64_t> job_busy_ns_;
 };
 
 }  // namespace agrarsec::core

@@ -11,7 +11,7 @@ HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   if (key.size() > Sha256::kBlockSize) {
     const auto digest = Sha256::hash(key);
     std::memcpy(block_key.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key may carry a null data()
     std::memcpy(block_key.data(), key.data(), key.size());
   }
 

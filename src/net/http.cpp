@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 
 namespace agrarsec::net {
@@ -54,18 +55,6 @@ std::string_view status_reason(int status) {
   }
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-  }
-}
-
 /// Wall-clock now for connection deadlines and stream pacing. This layer
 /// is wall-side observability plumbing — nothing here feeds deterministic
 /// exports.
@@ -110,6 +99,28 @@ std::string_view HttpRequest::query_param(std::string_view key) const {
     rest.remove_prefix(amp + 1);
   }
   return {};
+}
+
+// --- JSON string escaping -------------------------------------------------
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char esc[8];
+          std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
+          out += esc;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
 }
 
 // --- HttpResponse ----------------------------------------------------------
@@ -382,6 +393,11 @@ void HttpServer::answer(Connection& conn, const HttpRequest& request) {
   // already observe it in requests_served().
   requests_.fetch_add(1, std::memory_order_relaxed);
   ++conn.served;
+  // The budget's last response must say it closes, so decide before
+  // serialising the Connection header.
+  if (conn.served >= config_.max_requests_per_connection) {
+    response.close_connection = true;
+  }
   if (response.stream) {
     conn.outbuf += response.serialize_stream_head();
     if (head) {
@@ -395,10 +411,7 @@ void HttpServer::answer(Connection& conn, const HttpRequest& request) {
   std::string wire = response.serialize();
   if (head) wire.resize(wire.size() - response.body.size());
   conn.outbuf += wire;
-  if (response.close_connection ||
-      conn.served >= config_.max_requests_per_connection) {
-    conn.close_after_flush = true;
-  }
+  if (response.close_connection) conn.close_after_flush = true;
 }
 
 bool HttpServer::service_output(Connection& conn, std::uint64_t now) {

@@ -50,24 +50,12 @@ std::span<const std::uint8_t> console_aad() {
           kConsoleAad.size()};
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-  }
-}
-
 std::string rpc_error(std::uint64_t id, std::string_view code,
                       std::string_view message) {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"error\":{\"code\":\"";
-  append_json_escaped(out, code);
+  net::append_json_escaped(out, code);
   out += "\",\"message\":\"";
-  append_json_escaped(out, message);
+  net::append_json_escaped(out, message);
   out += "\"}}";
   return out;
 }
@@ -515,7 +503,7 @@ core::Result<std::string> ConsoleClient::call(std::string_view method,
                                               std::string_view params_json) {
   std::string request = "{\"id\":" + std::to_string(next_id_++) +
                         ",\"method\":\"";
-  append_json_escaped(request, method);
+  net::append_json_escaped(request, method);
   request += "\",\"params\":";
   request += params_json;
   request += "}";

@@ -94,7 +94,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   c_cycles_ = &reg.counter("worksite.completed_cycles");
   c_sep_queries_ = &reg.counter("worksite.separation_queries");
   g_delivered_ = &reg.gauge("worksite.delivered_m3");
-  g_work_stealing_ = &reg.gauge("wall.worksite_work_stealing");
   // Coarse export view of the separation distribution (the full-resolution
   // core::Histogram stays the close_encounters() source); the step
   // wall-time histogram is excluded from the deterministic export by its
@@ -135,11 +134,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
     pool_->set_job_observer([this](std::uint64_t wall_ns) {
       telemetry_->tracer().add_parallel_wall(wall_ns);
     });
-    if (config_.scheduling == Scheduling::kWorkStealing) {
-      pool_->set_assignment(core::ThreadPool::Assignment::kWorkStealing);
-      work_stealing_active_ = true;
-      g_work_stealing_->set(1.0);
-    }
   }
   const std::size_t shards = pool_ ? pool_->shard_count() : 1;
   telemetry_->ensure_shards(shards);
@@ -861,27 +855,6 @@ void Worksite::step() {
                     }
                   });
     drain_separation_samples();
-  }
-
-  if (pool_ && config_.scheduling == Scheduling::kAdaptive && !work_stealing_active_) {
-    // Adaptive scheduling switch (serial context, end of step): when the
-    // pool's busy-imbalance EWMA stays above threshold for a sustained
-    // window, flip the assignment mode to work stealing for good. The
-    // signal is wall-clock, but outcomes are assignment-invariant (every
-    // shared effect is slot-buffered and drained in slot order), so the
-    // switch point is unobservable in deterministic exports — it is
-    // recorded only via the "wall."-prefixed gauge.
-    constexpr double kImbalanceThreshold = 1.75;
-    constexpr std::size_t kImbalanceWindow = 25;
-    if (pool_->busy_imbalance() > kImbalanceThreshold) {
-      if (++imbalance_streak_ >= kImbalanceWindow) {
-        pool_->set_assignment(core::ThreadPool::Assignment::kWorkStealing);
-        work_stealing_active_ = true;
-        g_work_stealing_->set(1.0);
-      }
-    } else {
-      imbalance_streak_ = 0;
-    }
   }
 
   h_step_wall_->add(

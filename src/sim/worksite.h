@@ -77,18 +77,6 @@ struct HumanHotState {
   }
 };
 
-/// Work-assignment policy for the parallel step phases (DESIGN.md §14).
-enum class Scheduling : std::uint8_t {
-  kStatic = 0,        ///< contiguous shard ranges, fixed per (n, threads)
-  kWorkStealing = 1,  ///< chunked self-scheduling from step one
-  /// Start static; switch the pool to work stealing permanently once the
-  /// observed per-job busy imbalance stays high for a sustained window.
-  /// Outcomes are assignment-invariant (effects are slot-buffered), so
-  /// the timing-driven switch is unobservable in any deterministic
-  /// export — only the wall-clock utilization profile changes.
-  kAdaptive = 2,
-};
-
 struct WorksiteConfig {
   ForestConfig forest;
   core::Vec2 landing_area{30, 30};
@@ -114,10 +102,6 @@ struct WorksiteConfig {
   /// (default), 0 = std::thread::hardware_concurrency(). Results are
   /// bit-identical for every value (the parity tests enforce this).
   std::size_t threads = 1;
-  /// Shard-assignment policy for the parallel phases. Results are
-  /// bit-identical for every value (and for any point the adaptive mode
-  /// switches at); only wall-clock balance changes.
-  Scheduling scheduling = Scheduling::kAdaptive;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
@@ -435,13 +419,6 @@ class Worksite {
   MachineHotState machine_hot_;
   HumanHotState human_hot_;
 
-  // Adaptive-scheduling state: consecutive steps the pool's busy-time
-  // imbalance EWMA stayed above threshold; once the streak is long
-  // enough the pool switches to work stealing for good (sticky — the
-  // imbalance signal itself degrades once stealing smooths it out).
-  std::size_t imbalance_streak_ = 0;
-  bool work_stealing_active_ = false;
-
   IdAllocator<MachineId> machine_ids_;
   IdAllocator<HumanId> human_ids_;
 
@@ -459,9 +436,6 @@ class Worksite {
   obs::Counter* c_cycles_ = nullptr;
   obs::Counter* c_sep_queries_ = nullptr;  ///< bumped per shard in the sampling phase
   obs::Gauge* g_delivered_ = nullptr;
-  /// 1 once work stealing engaged ("wall." prefix: the switch point is
-  /// timing-driven, so it must stay out of the deterministic export).
-  obs::Gauge* g_work_stealing_ = nullptr;
   /// Separation distances (deterministic: fed in slot order by the serial
   /// drain) and step wall-time ("wall." prefix keeps it out of the
   /// deterministic export).

@@ -72,6 +72,16 @@ TEST(Sha256, ExactBlockBoundaryMessage) {
             "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
 }
 
+// An empty span carries a null data(); with "abc" buffered, update({})
+// must not hand it to memcpy (UBSan: null pointer passed as argument).
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  Sha256 h;
+  h.update(from_string("abc"));
+  h.update({});
+  EXPECT_EQ(to_hex(h.finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha512, EmptyMessage) {
   EXPECT_EQ(sha512_hex(""),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
@@ -118,6 +128,13 @@ TEST(Sha512, ExactBlockBoundaryMessage) {
 
 // Differential property: distinct short messages must not collide (sanity
 // sweep over 1 000 single-byte-different messages).
+TEST(Sha512, EmptyUpdateAfterPartialBlock) {
+  Sha512 h;
+  h.update(from_string("abc"));
+  h.update({});
+  EXPECT_EQ(to_hex(h.finish()), sha512_hex("abc"));
+}
+
 TEST(Sha256, NoTrivialCollisionsOnByteFlips) {
   core::Bytes base(32, 0);
   const auto ref = Sha256::hash(base);

@@ -99,5 +99,16 @@ TEST(HmacSha256, EmptyKeyAndMessageSupported) {
             "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
 }
 
+// An empty key span carries a null data(); padding it into the block key
+// must not hand that pointer to memcpy (UBSan: null pointer argument).
+TEST(HmacSha256, EmptyKeyConstructorCopiesNothing) {
+  HmacSha256 hmac({});
+  const auto data = from_string("abc");
+  hmac.update(data);
+  // RFC 2104 zero-pads a short key to the block size, so the empty key
+  // is the all-zero block key.
+  EXPECT_EQ(hmac.finish(), HmacSha256::mac(core::Bytes(Sha256::kBlockSize, 0), data));
+}
+
 }  // namespace
 }  // namespace agrarsec::crypto

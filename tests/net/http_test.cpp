@@ -178,6 +178,17 @@ TEST(HttpResponseTest, SerializeCarriesLengthAndConnection) {
   EXPECT_NE(err.serialize().find("Connection: close"), std::string::npos);
 }
 
+TEST(HttpResponseTest, ErrorEscapesControlBytesInMessage) {
+  // Error messages echo client input; control bytes must be escaped, not
+  // dropped, so the body stays valid JSON and says what was received.
+  const HttpResponse err = HttpResponse::error(400, "x", "a\tb\x01");
+  EXPECT_EQ(err.body, "{\"error\":\"x\",\"message\":\"a\\tb\\u0001\"}");
+
+  std::string out;
+  append_json_escaped(out, "\"\\\n\r\x1f~");
+  EXPECT_EQ(out, "\\\"\\\\\\n\\r\\u001f~");
+}
+
 // --- server over a real loopback socket ------------------------------------
 
 /// Reads until the peer closes or `timeout_ms` passes; returns all bytes.
@@ -345,6 +356,34 @@ TEST(HttpServerTorture, OverLimitConnectionRejectedWithDeterministic503) {
     ASSERT_GT(n, 0);
     again.append(reinterpret_cast<const char*>(chunk), static_cast<std::size_t>(n));
   }
+  server.stop();
+}
+
+TEST(HttpServerTorture, LastResponseOfKeepAliveBudgetSaysClose) {
+  HttpServerConfig config;
+  config.max_requests_per_connection = 3;
+  HttpServer server{config};
+  ASSERT_TRUE(server.start([](const HttpRequest&) {
+    return HttpResponse::json("{}");
+  }).ok());
+
+  TcpStream conn = TcpStream::connect_local(server.port());
+  ASSERT_TRUE(conn.valid());
+  ASSERT_TRUE(conn.write_all(std::string_view{
+      "GET /1 HTTP/1.1\r\nHost: x\r\n\r\n"
+      "GET /2 HTTP/1.1\r\nHost: x\r\n\r\n"
+      "GET /3 HTTP/1.1\r\nHost: x\r\n\r\n"}, 2000));
+  // The server closes after the third response; drain returns on EOF.
+  const std::string got = drain(conn);
+  std::vector<std::string> connection_headers;
+  for (std::size_t pos = got.find("Connection: "); pos != std::string::npos;
+       pos = got.find("Connection: ", pos + 1)) {
+    connection_headers.push_back(got.substr(pos, got.find("\r\n", pos) - pos));
+  }
+  EXPECT_EQ(connection_headers,
+            (std::vector<std::string>{"Connection: keep-alive", "Connection: keep-alive",
+                                      "Connection: close"}));
+  EXPECT_EQ(server.requests_served(), 3u);
   server.stop();
 }
 

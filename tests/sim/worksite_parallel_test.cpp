@@ -52,12 +52,10 @@ struct Snapshot {
 
 /// Builds the Figure-1-style mixed fleet, steps `steps` times at the given
 /// shard count, and snapshots everything the parity contract covers.
-Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false,
-                  Scheduling scheduling = Scheduling::kAdaptive) {
+Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false) {
   WorksiteConfig config = fig1_site();
   config.threads = threads;
   config.drone_follow_post_integrate = drone_follow;
-  config.scheduling = scheduling;
   Worksite site{config, 1234};
 
   Snapshot snap;
@@ -134,37 +132,6 @@ TEST(WorksiteParallel, ThreadCountIsUnobservable) {
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     expect_identical(serial, run_site(threads, kSteps), threads);
   }
-}
-
-// Work stealing from step one: the chunked self-scheduled assignment must
-// honour the same bit-identical contract as the static split.
-TEST(WorksiteParallel, WorkStealingThreadCountIsUnobservable) {
-  constexpr int kSteps = 600;
-  const Snapshot serial =
-      run_site(1, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing);
-  ASSERT_FALSE(serial.events.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(
-        serial,
-        run_site(threads, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing),
-        threads);
-  }
-}
-
-// The scheduling policy itself (and wherever the adaptive mode's timing-
-// driven switch lands, if it fires) must be unobservable: at a fixed
-// thread count, all three modes produce the same bytes.
-TEST(WorksiteParallel, SchedulingModeIsUnobservable) {
-  constexpr int kSteps = 400;
-  const Snapshot statics =
-      run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kStatic);
-  ASSERT_FALSE(statics.events.empty());
-  expect_identical(
-      statics, run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing),
-      8);
-  expect_identical(
-      statics, run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kAdaptive),
-      8);
 }
 
 TEST(WorksiteParallel, ZeroThreadsMeansHardwareConcurrency) {
