@@ -23,18 +23,19 @@ struct Ed25519KeyPair {
   Ed25519PublicKey public_key;
 };
 
-/// Derives the public key from a 32-byte seed.
+/// Derives the public key from a 32-byte seed. Throws
+/// std::invalid_argument for any other size.
 [[nodiscard]] Ed25519PublicKey ed25519_public_key(std::span<const std::uint8_t> seed);
 
-/// Builds a key pair from a seed.
+/// Builds a key pair from a seed; throws like ed25519_public_key.
 [[nodiscard]] Ed25519KeyPair ed25519_keypair(std::span<const std::uint8_t> seed);
 
 /// Signs `message` (deterministic, per RFC 8032).
 [[nodiscard]] Ed25519Signature ed25519_sign(const Ed25519KeyPair& keypair,
                                             std::span<const std::uint8_t> message);
 
-/// Verifies a signature. Rejects non-canonical S (S >= L) and undecodable
-/// points.
+/// Verifies a signature. Rejects non-canonical S (S >= L), public keys
+/// whose y is not canonical (y >= p) and undecodable points.
 [[nodiscard]] bool ed25519_verify(std::span<const std::uint8_t> public_key,
                                   std::span<const std::uint8_t> message,
                                   std::span<const std::uint8_t> signature);

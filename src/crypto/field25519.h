@@ -77,7 +77,36 @@ inline void fe_mul(Fe& h, const Fe& f, const Fe& g) {
   h.v[0] = r0; h.v[1] = r1; h.v[2] = r2; h.v[3] = r3; h.v[4] = r4;
 }
 
-inline void fe_sq(Fe& h, const Fe& f) { fe_mul(h, f, f); }
+/// h = f^2. The same column sums as fe_mul(h, f, f), with the symmetric
+/// products folded (15 multiplications instead of 25), so the result is
+/// bit-identical.
+inline void fe_sq(Fe& h, const Fe& f) {
+  using u128 = unsigned __int128;
+  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  const std::uint64_t d0 = f0 * 2, d1 = f1 * 2, d2_19 = f2 * 38, f3_19 = f3 * 19;
+  const std::uint64_t f4_19 = f4 * 19, d4_19 = f4 * 38;
+
+  u128 h0 = (u128)f0 * f0 + (u128)d4_19 * f1 + (u128)d2_19 * f3;
+  u128 h1 = (u128)d0 * f1 + (u128)d4_19 * f2 + (u128)f3 * f3_19;
+  u128 h2 = (u128)d0 * f2 + (u128)f1 * f1 + (u128)d4_19 * f3;
+  u128 h3 = (u128)d0 * f3 + (u128)d1 * f2 + (u128)f4 * f4_19;
+  u128 h4 = (u128)d0 * f4 + (u128)d1 * f3 + (u128)f2 * f2;
+
+  std::uint64_t c;
+  std::uint64_t r0 = (std::uint64_t)h0 & kMask51; c = (std::uint64_t)(h0 >> 51);
+  h1 += c;
+  std::uint64_t r1 = (std::uint64_t)h1 & kMask51; c = (std::uint64_t)(h1 >> 51);
+  h2 += c;
+  std::uint64_t r2 = (std::uint64_t)h2 & kMask51; c = (std::uint64_t)(h2 >> 51);
+  h3 += c;
+  std::uint64_t r3 = (std::uint64_t)h3 & kMask51; c = (std::uint64_t)(h3 >> 51);
+  h4 += c;
+  std::uint64_t r4 = (std::uint64_t)h4 & kMask51; c = (std::uint64_t)(h4 >> 51);
+  r0 += c * 19; c = r0 >> 51; r0 &= kMask51;
+  r1 += c;
+
+  h.v[0] = r0; h.v[1] = r1; h.v[2] = r2; h.v[3] = r3; h.v[4] = r4;
+}
 
 inline void fe_mul_small(Fe& h, const Fe& f, std::uint64_t s) {
   using u128 = unsigned __int128;
@@ -153,6 +182,12 @@ inline void fe_cswap(Fe& f, Fe& g, std::uint64_t b) {
     f.v[i] ^= x;
     g.v[i] ^= x;
   }
+}
+
+/// Constant-time conditional move: f = g when `b` is 1, unchanged when 0.
+inline void fe_cmov(Fe& f, const Fe& g, std::uint64_t b) {
+  const std::uint64_t mask = 0 - b;
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
 }
 
 /// h = f^(p-2) = f^-1 (Fermat), fixed addition chain.

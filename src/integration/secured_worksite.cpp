@@ -422,7 +422,7 @@ void SecuredWorksite::telemetry_cycle(core::SimTime now) {
 void SecuredWorksite::track_ground_truth(core::SimTime now) {
   for (auto& unit : units_) {
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
-    const auto tracks = unit->fusion->fuse(now);
+    const auto& tracks = unit->tracks;
 
     auto associated = [&](core::Vec2 person) {
       for (const auto& track : tracks) {
@@ -544,8 +544,11 @@ void SecuredWorksite::step() {
     correlator_.tick(now);
   }
 
+  // One fusion pass per forwarder per step: the monitor acts on the tracks
+  // and track_ground_truth scores coverage against the same tracks.
   for (auto& unit : units_) {
-    unit->monitor->update(unit->fusion->fuse(now), now);
+    unit->tracks = unit->fusion->fuse(now);
+    unit->monitor->update(unit->tracks, now);
   }
   track_ground_truth(now);
 

@@ -229,6 +229,9 @@ class SecuredWorksite {
     /// worksite stream.
     std::optional<core::Rng> sense_rng;
     std::unique_ptr<safety::DetectionFusion> fusion;
+    /// This step's fused tracks, shared by the monitor and the coverage
+    /// bookkeeping.
+    std::vector<safety::FusedTrack> tracks;
     std::unique_ptr<safety::SafetyMonitor> monitor;
     std::optional<pki::Identity> identity;
     std::optional<secure::Session> rx_session;  ///< drone -> this machine
@@ -246,6 +249,8 @@ class SecuredWorksite {
   void drone_report_cycle(core::SimTime now);
   void forwarder_sense_cycle(core::SimTime now);
   void telemetry_cycle(core::SimTime now);
+  /// Scores each unit's `tracks` (this step's fusion pass) against ground
+  /// truth.
   void track_ground_truth(core::SimTime now);
   void send_from_drone(ForwarderUnit& unit, const net::Message& message);
 

@@ -51,13 +51,6 @@ Terrain Terrain::generate(const ForestConfig& config, core::Rng& rng) {
   return Terrain{config.bounds, std::move(obstacles), std::move(hills)};
 }
 
-std::size_t Terrain::cell_slot(std::int64_t cx, std::int64_t cy) const {
-  cx = std::clamp<std::int64_t>(cx - min_cx_, 0, width_ - 1);
-  cy = std::clamp<std::int64_t>(cy - min_cy_, 0, height_ - 1);
-  return static_cast<std::size_t>(cy) * static_cast<std::size_t>(width_) +
-         static_cast<std::size_t>(cx);
-}
-
 void Terrain::build_index() {
   const auto cell_of = [this](double v) {
     return static_cast<std::int64_t>(std::floor(v / cell_size_));

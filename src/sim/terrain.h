@@ -5,6 +5,7 @@
 // of people, while an elevated drone viewpoint clears them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -141,7 +142,12 @@ class Terrain {
   /// convention: floor(v / cell_size)); out-of-range coordinates clamp to
   /// the border, which only widens candidate sets — the exact distance
   /// predicates keep results identical.
-  [[nodiscard]] std::size_t cell_slot(std::int64_t cx, std::int64_t cy) const;
+  [[nodiscard]] std::size_t cell_slot(std::int64_t cx, std::int64_t cy) const {
+    cx = std::clamp<std::int64_t>(cx - min_cx_, 0, width_ - 1);
+    cy = std::clamp<std::int64_t>(cy - min_cy_, 0, height_ - 1);
+    return static_cast<std::size_t>(cy) * static_cast<std::size_t>(width_) +
+           static_cast<std::size_t>(cx);
+  }
 
   core::Aabb bounds_;
   std::vector<Obstacle> obstacles_;

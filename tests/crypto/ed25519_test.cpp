@@ -163,9 +163,29 @@ TEST(Ed25519, VerifyRejectsUndecodablePoint) {
   EXPECT_FALSE(ed25519_verify(pk, {}, sig));
 }
 
+TEST(Ed25519, VerifyRejectsNonCanonicalPublicKeyY) {
+  // RFC 8032 §5.1.3: decoding fails when y >= p. The identity (0, 1)
+  // encoded as y = p + 1 would otherwise verify [S]B == R: take S = 1 and
+  // R = B.
+  core::Bytes pk(32, 0xff);
+  pk[0] = 0xee;  // p + 1 = 2^255 - 18
+  pk[31] = 0x7f;
+  const auto sig = from_hex(
+      "5866666666666666666666666666666666666666666666666666666666666666"
+      "0100000000000000000000000000000000000000000000000000000000000000");
+  EXPECT_FALSE(ed25519_verify(pk, from_string("any message"), sig));
+
+  // The canonical encoding of the identity accepts the same signature.
+  core::Bytes identity(32, 0);
+  identity[0] = 0x01;
+  EXPECT_TRUE(ed25519_verify(identity, from_string("any message"), sig));
+}
+
 TEST(Ed25519, KeypairThrowsOnBadSeedSize) {
   const core::Bytes short_seed(16, 0);
   EXPECT_THROW((void)ed25519_public_key(short_seed), std::invalid_argument);
+  // The key pair checks the size before copying the seed (no over-read).
+  EXPECT_THROW((void)ed25519_keypair(short_seed), std::invalid_argument);
 }
 
 TEST(Ed25519, DeterministicSignature) {
