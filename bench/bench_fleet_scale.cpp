@@ -353,15 +353,16 @@ FleetRunResult run_fleet(std::size_t threads, std::size_t sessions,
 
 struct LosResult {
   double rays_per_sec = 0.0;
-  int mismatches = 0;  ///< batch result != per-ray result (spot check)
+  int mismatches = 0;  ///< batch result != index-free reference result
 };
 
 /// Streams perception-shaped sight-line bundles through
 /// Terrain::occlusion_cause_batch: 64 sensor frames (half ground-mast,
-/// half drone-altitude origins) x 96 targets over a dense stand. Every
-/// 17th ray is re-resolved through the per-ray entry point and compared —
-/// a batch that is fast but different is a parity failure, same contract
-/// as the step benchmarks.
+/// half drone-altitude origins) x 96 targets over a dense stand. Before
+/// the timed rounds, every ray of one round is re-resolved through
+/// Terrain::occlusion_cause_reference (a scan of every obstacle, no grid
+/// index) and compared — a batch that is fast but different is a parity
+/// failure, same contract as the step benchmarks.
 LosResult run_los(std::uint64_t rounds) {
   sim::ForestConfig forest;  // defaults: 500x500, 400 stems/ha, 6 hills
   core::Rng terrain_rng{99};
@@ -388,30 +389,31 @@ LosResult run_los(std::uint64_t rounds) {
 
   LosResult r;
   std::vector<sim::Terrain::OcclusionCause> causes;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    terrain.occlusion_cause_batch(origins[f], agls[f], bundles[f], causes);
+    for (std::size_t i = 0; i < kRays; ++i) {
+      if (causes[i] != terrain.occlusion_cause_reference(origins[f], agls[f],
+                                                         bundles[f][i].to_xy,
+                                                         bundles[f][i].to_agl)) {
+        ++r.mismatches;
+        std::printf("  LOS MISMATCH: frame %zu ray %zu batch != reference\n", f, i);
+      }
+    }
+  }
+
   std::uint64_t resolved = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t round = 0; round < rounds; ++round) {
     for (std::size_t f = 0; f < kFrames; ++f) {
       terrain.occlusion_cause_batch(origins[f], agls[f], bundles[f], causes);
       resolved += causes.size();
-      if (round == 0) {
-        for (std::size_t i = 0; i < kRays; i += 17) {
-          if (causes[i] != terrain.occlusion_cause(origins[f], agls[f],
-                                                   bundles[f][i].to_xy,
-                                                   bundles[f][i].to_agl)) {
-            ++r.mismatches;
-            std::printf("  LOS MISMATCH: frame %zu ray %zu batch != per-ray\n",
-                        f, i);
-          }
-        }
-      }
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   r.rays_per_sec = static_cast<double>(resolved) / secs;
   std::printf("  %zu frames x %zu rays x %llu rounds in %.3fs -> %.0f rays/sec"
-              " (%d spot-check mismatches)\n",
+              " (%d reference mismatches)\n",
               kFrames, kRays, static_cast<unsigned long long>(rounds), secs,
               r.rays_per_sec, r.mismatches);
   return r;

@@ -67,13 +67,14 @@ echo "== sanitizers: TSan over the parallel stepping paths =="
 # net_test torture suite and the ConsoleStream/ConsoleSensor suites add
 # the poll-driven HTTP server under concurrent clients, SSE subscribers
 # against a stepping fleet, and the control-plane IDS sensor written by
-# the control thread while /ids reads it.
+# the control thread while /ids reads it. OcclusionBatchTest.Concurrent*
+# shares one const Terrain between threads resolving sight lines.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test net_test sim_test obs_test service_test
 ./build-tsan/tests/core_test --gtest_filter='ThreadPool*:LogThreadSafety*'
 ./build-tsan/tests/net_test --gtest_filter='HttpServerTorture*'
 ./build-tsan/tests/obs_test --gtest_filter='RegistryTest.MergeIsDeterministic*'
-./build-tsan/tests/sim_test --gtest_filter='WorksiteParallel*'
+./build-tsan/tests/sim_test --gtest_filter='WorksiteParallel*:OcclusionBatchTest.Concurrent*'
 ./build-tsan/tests/service_test --gtest_filter='FleetServiceParallel*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
 
 echo "== all checks passed =="

@@ -91,8 +91,18 @@ struct Circle {
 /// Visits grid cells of size `cell` crossed by segment [a,b] (2D DDA,
 /// Amanatides & Woo). `visit(cx, cy)` returns false to stop early. A
 /// template so the visitor inlines into the LOS and segment-probe loops.
+///
+/// The walk is a 4-connected path from the start cell to the end cell
+/// (floor(b / cell)) of exactly |dcx| + |dcy| steps: an axis that has
+/// reached its end coordinate is never stepped again. Where the DDA's
+/// comparison would step such an axis (a tie or rounding at t = 1, e.g.
+/// a segment ending on a grid corner), the other axis steps instead.
+/// Every visited cell lies within rounding of the segment, and every cell
+/// whose interior the segment crosses is visited. Non-finite endpoints
+/// visit nothing.
 template <typename Visit>
 void traverse_grid(Vec2 a, Vec2 b, double cell, Visit&& visit) {
+  if (!std::isfinite(a.x + a.y + b.x + b.y)) return;
   auto cell_of = [cell](double v) {
     return static_cast<std::int64_t>(std::floor(v / cell));
   };
@@ -113,20 +123,19 @@ void traverse_grid(Vec2 a, Vec2 b, double cell, Visit&& visit) {
   const double t_delta_x = step_x != 0 ? cell / std::abs(d.x) : kInf;
   const double t_delta_y = step_y != 0 ? cell / std::abs(d.y) : kInf;
 
+  // floor(v / cell) is monotone in v, so step_x moves cx towards ex (and
+  // step_x == 0 implies cx == ex); likewise for y. Each iteration moves
+  // one unfinished axis one cell closer, so the loop ends at (ex, ey).
   while (true) {
     if (!visit(cx, cy)) return;
-    if (cx == ex && cy == ey) return;
-    if (t_max_x < t_max_y) {
-      if (step_x == 0) return;  // degenerate: cannot make progress
+    if (cy == ey || (cx != ex && t_max_x < t_max_y)) {
+      if (cx == ex) return;
       cx += step_x;
       t_max_x += t_delta_x;
     } else {
-      if (step_y == 0) return;
       cy += step_y;
       t_max_y += t_delta_y;
     }
-    // Safety net against floating-point corner cases.
-    if (std::abs(cx) > 1'000'000 || std::abs(cy) > 1'000'000) return;
   }
 }
 

@@ -56,6 +56,11 @@ SecuredWorksite::SecuredWorksite(SecuredWorksiteConfig config)
   c_too_old_rejected_ = &reg.counter("secure.records_too_old_rejected");
   c_out_of_order_accepted_ = &reg.counter("secure.records_out_of_order_accepted");
   h_step_wall_ = &reg.histogram("wall.secured_step_us", 0.0, 100000.0, 20);
+  obs::Tracer& tracer = telemetry_->tracer();
+  step_phases_ = {tracer.phase("secured.sense"),     tracer.phase("secured.drone_report"),
+                  tracer.phase("secured.telemetry"), tracer.phase("secured.radio"),
+                  tracer.phase("secured.ids"),       tracer.phase("secured.fusion_monitor"),
+                  tracer.phase("secured.ground_truth")};
 
   worksite_ = std::make_unique<sim::Worksite>(config_.worksite, config_.seed);
 
@@ -530,19 +535,33 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
 void SecuredWorksite::step() {
   // Full-stack step wall time (sim + radio + IDS + safety); the "wall."
   // prefix keeps this timing histogram out of the deterministic export.
+  // Each phase after the worksite step (which traces itself) is closed by
+  // one clock read that also opens the next.
+  obs::Tracer& tracer = telemetry_->tracer();
   const std::uint64_t step_start_ns = obs::Tracer::now_ns();
   worksite_->step();
   const core::SimTime now = worksite_->clock().now();
+  std::uint64_t mark_ns = obs::Tracer::now_ns();
+  const auto lap = [&](StepPhase phase) {
+    const std::uint64_t t = obs::Tracer::now_ns();
+    tracer.record(step_phases_[phase], t - mark_ns);
+    mark_ns = t;
+  };
 
   forwarder_sense_cycle(now);
+  lap(kSense);
   drone_report_cycle(now);
+  lap(kDroneReport);
   telemetry_cycle(now);
+  lap(kTelemetry);
 
   radio_->step(now);
+  lap(kRadio);
   if (config_.ids_enabled) {
     ids_->tick(now);
     correlator_.tick(now);
   }
+  lap(kIds);
 
   // One fusion pass per forwarder per step: the monitor acts on the tracks
   // and track_ground_truth scores coverage against the same tracks.
@@ -550,10 +569,11 @@ void SecuredWorksite::step() {
     unit->tracks = unit->fusion->fuse(now);
     unit->monitor->update(unit->tracks, now);
   }
+  lap(kFusionMonitor);
   track_ground_truth(now);
+  lap(kGroundTruth);
 
-  h_step_wall_->add(
-      static_cast<double>(obs::Tracer::now_ns() - step_start_ns) / 1000.0);
+  h_step_wall_->add(static_cast<double>(mark_ns - step_start_ns) / 1000.0);
 }
 
 void SecuredWorksite::run_for(core::SimDuration duration) {

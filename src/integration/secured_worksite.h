@@ -18,6 +18,7 @@
 // (forwarder_id(), monitor(), ...) refer to the primary (first) machine.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -299,6 +300,20 @@ class SecuredWorksite {
   obs::Counter* c_out_of_order_accepted_ = nullptr;
   /// Full-stack step wall time ("wall." prefix: full artifact only).
   obs::Histogram* h_step_wall_ = nullptr;
+  /// Tracer phases of step() after the worksite step ("secured.<phase>"),
+  /// in execution order; together with "worksite.step" they split
+  /// wall.secured_step_us.
+  enum StepPhase : std::size_t {
+    kSense,
+    kDroneReport,
+    kTelemetry,
+    kRadio,
+    kIds,
+    kFusionMonitor,
+    kGroundTruth,
+    kStepPhaseCount,
+  };
+  std::array<obs::PhaseId, kStepPhaseCount> step_phases_{};
 
   SafetyOutcome outcome_;
   safety::SotifAnalysis sotif_;

@@ -137,7 +137,7 @@ class PathPlanner {
 
   // Route cache: (start_idx << 32 | goal_idx) -> generation-stamped route.
   // Mutable: plan() is logically const, the cache and counters are
-  // bookkeeping (same convention as Terrain's query scratch).
+  // bookkeeping.
   mutable std::unordered_map<std::uint64_t, CacheEntry> cache_;
   mutable PlannerStats stats_;
 

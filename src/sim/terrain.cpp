@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace agrarsec::sim {
 
@@ -55,6 +56,22 @@ void Terrain::build_index() {
   const auto cell_of = [this](double v) {
     return static_cast<std::int64_t>(std::floor(v / cell_size_));
   };
+  // Each obstacle is registered in every cell its footprint's bounding
+  // box, widened by kIndexPad, overlaps. The pad dwarfs the DDA's and the
+  // cell division's rounding (~1e-12 m on a kilometre-scale site), so a
+  // footprint that touches a cell within rounding is still listed there
+  // and occlusion_cause_from can visit the crossed cells alone.
+  constexpr double kIndexPad = 1e-6;
+  struct CellBox {
+    std::int64_t lo_x, lo_y, hi_x, hi_y;
+  };
+  const auto box_of = [&](const Obstacle& o) {
+    const double reach = o.footprint.radius + kIndexPad;
+    return CellBox{cell_of(o.footprint.center.x - reach),
+                   cell_of(o.footprint.center.y - reach),
+                   cell_of(o.footprint.center.x + reach),
+                   cell_of(o.footprint.center.y + reach)};
+  };
 
   // Grid extent: the worksite bounds, widened to any footprint that pokes
   // past them, so every obstacle has an in-range home cell.
@@ -63,10 +80,11 @@ void Terrain::build_index() {
   std::int64_t max_cx = cell_of(bounds_.max.x);
   std::int64_t max_cy = cell_of(bounds_.max.y);
   for (const Obstacle& o : obstacles_) {
-    min_cx_ = std::min(min_cx_, cell_of(o.footprint.center.x - o.footprint.radius));
-    min_cy_ = std::min(min_cy_, cell_of(o.footprint.center.y - o.footprint.radius));
-    max_cx = std::max(max_cx, cell_of(o.footprint.center.x + o.footprint.radius));
-    max_cy = std::max(max_cy, cell_of(o.footprint.center.y + o.footprint.radius));
+    const CellBox box = box_of(o);
+    min_cx_ = std::min(min_cx_, box.lo_x);
+    min_cy_ = std::min(min_cy_, box.lo_y);
+    max_cx = std::max(max_cx, box.hi_x);
+    max_cy = std::max(max_cy, box.hi_y);
   }
   width_ = max_cx - min_cx_ + 1;
   height_ = max_cy - min_cy_ + 1;
@@ -77,14 +95,11 @@ void Terrain::build_index() {
 
   // Two-pass counting sort into the CSR arrays. Iterating obstacles in
   // index order in the fill pass leaves each cell's list ascending, which
-  // obstacles_near_segment relies on for its ordered output.
+  // the occlusion walk's lowest-index search relies on.
   const auto each_cell = [&](const Obstacle& o, const auto& fn) {
-    const std::int64_t lo_x = cell_of(o.footprint.center.x - o.footprint.radius);
-    const std::int64_t hi_x = cell_of(o.footprint.center.x + o.footprint.radius);
-    const std::int64_t lo_y = cell_of(o.footprint.center.y - o.footprint.radius);
-    const std::int64_t hi_y = cell_of(o.footprint.center.y + o.footprint.radius);
-    for (std::int64_t cy = lo_y; cy <= hi_y; ++cy) {
-      for (std::int64_t cx = lo_x; cx <= hi_x; ++cx) {
+    const CellBox box = box_of(o);
+    for (std::int64_t cy = box.lo_y; cy <= box.hi_y; ++cy) {
+      for (std::int64_t cx = box.lo_x; cx <= box.hi_x; ++cx) {
         fn(cell_slot(cx, cy));
       }
     }
@@ -98,9 +113,6 @@ void Terrain::build_index() {
   for (std::uint32_t i = 0; i < obstacles_.size(); ++i) {
     each_cell(obstacles_[i], [&](std::size_t s) { cell_items_[cursor[s]++] = i; });
   }
-
-  visit_stamp_.assign(obstacles_.size(), 0);
-  stamp_gen_ = 0;
 }
 
 double Terrain::ground_height(core::Vec2 p) const {
@@ -112,37 +124,27 @@ double Terrain::ground_height(core::Vec2 p) const {
   return h;
 }
 
-void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b) const {
-  // Expand the traversal by visiting the 3x3 neighbourhood of each crossed
-  // cell so obstacles whose footprints straddle cell borders are found.
-  // Generation stamps dedup obstacles seen from several cells.
-  const std::uint64_t gen = ++stamp_gen_;
-  candidate_scratch_.clear();
+std::vector<const Obstacle*> Terrain::obstacles_near_segment(core::Vec2 a, core::Vec2 b,
+                                                             double margin) const {
+  // The 3x3 neighbourhood of each crossed cell covers footprints within a
+  // cell of the segment, so any margin up to the cell size is found; the
+  // exact distance predicate then decides.
+  std::vector<std::uint32_t> candidates;
   core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
     for (std::int64_t dy = -1; dy <= 1; ++dy) {
       for (std::int64_t dx = -1; dx <= 1; ++dx) {
         const std::size_t s = cell_slot(cx + dx, cy + dy);
-        for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
-          const std::uint32_t i = cell_items_[k];
-          if (visit_stamp_[i] == gen) continue;
-          visit_stamp_[i] = gen;
-          candidate_scratch_.push_back(i);
-        }
+        candidates.insert(candidates.end(), cell_items_.begin() + cell_start_[s],
+                          cell_items_.begin() + cell_start_[s + 1]);
       }
     }
     return true;
   });
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
-  // Ascending index order, matching the old std::set-based collection
-  // (occlusion attribution returns the lowest-index blocker).
-  std::sort(candidate_scratch_.begin(), candidate_scratch_.end());
-}
-
-std::vector<const Obstacle*> Terrain::obstacles_near_segment(core::Vec2 a, core::Vec2 b,
-                                                             double margin) const {
-  collect_segment_candidates(a, b);
   std::vector<const Obstacle*> out;
-  for (std::uint32_t i : candidate_scratch_) {
+  for (std::uint32_t i : candidates) {
     const Obstacle& o = obstacles_[i];
     if (core::point_segment_distance(o.footprint.center, a, b) <=
         o.footprint.radius + margin) {
@@ -173,57 +175,93 @@ bool Terrain::segment_blocked(core::Vec2 a, core::Vec2 b, double margin) const {
   return hit;
 }
 
+namespace {
+
+Terrain::OcclusionCause cause_of(ObstacleKind kind) {
+  switch (kind) {
+    case ObstacleKind::kTree: return Terrain::OcclusionCause::kTree;
+    case ObstacleKind::kBoulder: return Terrain::OcclusionCause::kBoulder;
+    case ObstacleKind::kBrush: return Terrain::OcclusionCause::kBrush;
+  }
+  return Terrain::OcclusionCause::kNone;
+}
+
+constexpr std::uint32_t kNoObstacle = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
+Terrain::Ray Terrain::make_ray(core::Vec2 from_xy, double z_from, core::Vec2 to_xy,
+                               double to_agl) const {
+  Ray ray;
+  ray.from = from_xy;
+  ray.to = to_xy;
+  ray.z_from = z_from;
+  ray.z_to = ground_height(to_xy) + to_agl;
+  ray.len = core::distance(from_xy, to_xy);
+  if (ray.len >= 1e-9) ray.dir = (to_xy - from_xy) * (1.0 / ray.len);
+  return ray;
+}
+
+bool Terrain::obstacle_blocks(const Obstacle& o, const Ray& ray) const {
+  // An obstacle blocks the ray when the ray's height at the crossing
+  // point is below the obstacle's top (ground + height).
+  if (core::point_segment_distance(o.footprint.center, ray.from, ray.to) >
+      o.footprint.radius) {
+    return false;
+  }
+  const double t = std::clamp((o.footprint.center - ray.from).dot(ray.dir), 0.0, ray.len);
+  // Skip obstacles essentially at an endpoint (the observer/target's own
+  // immediate surroundings do not self-occlude).
+  if (t < 0.5 || t > ray.len - 0.5) return false;
+  const double ray_z = ray.z_from + (ray.z_to - ray.z_from) * (t / ray.len);
+  const core::Vec2 at = ray.from + ray.dir * t;
+  return ray_z < ground_height(at) + o.height_m;
+}
+
+Terrain::OcclusionCause Terrain::terrain_cause(const Ray& ray) const {
+  // Sample the ground along the ray — unless the ray's lowest endpoint
+  // already clears the summed hill amplitudes, in which case no sample
+  // could come within 1e-9 of the ray (the lerp stays within a few ulps
+  // of [min(z), max(z)], far inside that margin).
+  if (std::min(ray.z_from, ray.z_to) >= hills_height_sum_) return OcclusionCause::kNone;
+  constexpr double kSample = 5.0;
+  const int samples = std::max(2, static_cast<int>(ray.len / kSample));
+  for (int i = 1; i < samples; ++i) {
+    const double t = static_cast<double>(i) / samples;
+    const core::Vec2 at = ray.from + (ray.to - ray.from) * t;
+    const double ray_z = ray.z_from + (ray.z_to - ray.z_from) * t;
+    if (ray_z < ground_height(at) - 1e-9) return OcclusionCause::kTerrain;
+  }
+  return OcclusionCause::kNone;
+}
+
 Terrain::OcclusionCause Terrain::occlusion_cause_from(core::Vec2 from_xy,
                                                       double z_from,
                                                       core::Vec2 to_xy,
                                                       double to_agl) const {
-  const double z_to = ground_height(to_xy) + to_agl;
-  const double planar_len = core::distance(from_xy, to_xy);
-  if (planar_len < 1e-9) return OcclusionCause::kNone;
+  const Ray ray = make_ray(from_xy, z_from, to_xy, to_agl);
+  if (ray.len < 1e-9) return OcclusionCause::kNone;
 
-  // Obstacle occlusion: an obstacle blocks the ray when the ray's height
-  // at the crossing point is below the obstacle's top (ground + height).
-  // Candidates come straight from the stamp walk (ascending index, exact
-  // distance predicate applied inline) — no per-ray result vector.
-  collect_segment_candidates(from_xy, to_xy);
-  const core::Vec2 dir = (to_xy - from_xy) * (1.0 / planar_len);
-  for (const std::uint32_t idx : candidate_scratch_) {
-    const Obstacle& o = obstacles_[idx];
-    if (core::point_segment_distance(o.footprint.center, from_xy, to_xy) >
-        o.footprint.radius) {
-      continue;
-    }
-    const double t = std::clamp((o.footprint.center - from_xy).dot(dir), 0.0,
-                                planar_len);
-    // Skip obstacles essentially at an endpoint (the observer/target's own
-    // immediate surroundings do not self-occlude).
-    if (t < 0.5 || t > planar_len - 0.5) continue;
-    const double ray_z = z_from + (z_to - z_from) * (t / planar_len);
-    const core::Vec2 at = from_xy + dir * t;
-    const double top = ground_height(at) + o.height_m;
-    if (ray_z < top) {
-      switch (o.kind) {
-        case ObstacleKind::kTree: return OcclusionCause::kTree;
-        case ObstacleKind::kBoulder: return OcclusionCause::kBoulder;
-        case ObstacleKind::kBrush: return OcclusionCause::kBrush;
+  // The answer is the lowest-index blocking obstacle. Only the cells the
+  // ray crosses are visited: a blocker's footprint meets the segment, and
+  // the padded registration (build_index) lists it in every cell that
+  // meeting point can fall in. Each cell's list ascends, so a cell stops
+  // at the first blocker or at the best index found so far.
+  std::uint32_t best = kNoObstacle;
+  core::traverse_grid(from_xy, to_xy, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
+    const std::size_t s = cell_slot(cx, cy);
+    for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
+      const std::uint32_t i = cell_items_[k];
+      if (i >= best) break;
+      if (obstacle_blocks(obstacles_[i], ray)) {
+        best = i;
+        break;
       }
     }
-  }
-
-  // Terrain occlusion: sample the ground along the ray — unless the ray's
-  // lowest endpoint already clears the summed hill amplitudes, in which
-  // case no sample could come within 1e-9 of the ray (the lerp stays
-  // within a few ulps of [min(z), max(z)], far inside that margin).
-  if (std::min(z_from, z_to) >= hills_height_sum_) return OcclusionCause::kNone;
-  constexpr double kSample = 5.0;
-  const int samples = std::max(2, static_cast<int>(planar_len / kSample));
-  for (int i = 1; i < samples; ++i) {
-    const double t = static_cast<double>(i) / samples;
-    const core::Vec2 at = from_xy + (to_xy - from_xy) * t;
-    const double ray_z = z_from + (z_to - z_from) * t;
-    if (ray_z < ground_height(at) - 1e-9) return OcclusionCause::kTerrain;
-  }
-  return OcclusionCause::kNone;
+    return true;
+  });
+  if (best != kNoObstacle) return cause_of(obstacles_[best].kind);
+  return terrain_cause(ray);
 }
 
 Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from_agl,
@@ -233,38 +271,27 @@ Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from
                               to_agl);
 }
 
+Terrain::OcclusionCause Terrain::occlusion_cause_reference(core::Vec2 from_xy,
+                                                           double from_agl,
+                                                           core::Vec2 to_xy,
+                                                           double to_agl) const {
+  const Ray ray = make_ray(from_xy, ground_height(from_xy) + from_agl, to_xy, to_agl);
+  if (ray.len < 1e-9) return OcclusionCause::kNone;
+  for (const Obstacle& o : obstacles_) {
+    if (obstacle_blocks(o, ray)) return cause_of(o.kind);
+  }
+  return terrain_cause(ray);
+}
+
 void Terrain::occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
                                     const LosTarget* targets, std::size_t count,
                                     OcclusionCause* out) const {
-  if (count == 0) return;
+  if (count == 0) return;  // sensors often have no candidate in range
   // One origin ground sample serves the whole bundle (same expression as
   // the per-ray path, so z_from is bit-identical).
   const double z_from = ground_height(from_xy) + from_agl;
-  if (count == 1) {
-    out[0] = occlusion_cause_from(from_xy, z_from, targets[0].to_xy,
-                                  targets[0].to_agl);
-    return;
-  }
-
-  // Evaluate in direction-sorted order: consecutive rays then sweep
-  // adjacent corridors of the CSR grid, so the cell rows and obstacle
-  // records a walk touches are still cache-hot for the next ray. Results
-  // land at their original index; each ray's answer is independent of the
-  // evaluation order, so the sort is invisible to callers.
-  batch_order_.resize(count);
-  batch_key_.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    batch_order_[i] = static_cast<std::uint32_t>(i);
-    const core::Vec2 d = targets[i].to_xy - from_xy;
-    batch_key_[i] = std::atan2(d.y, d.x);
-  }
-  std::sort(batch_order_.begin(), batch_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return batch_key_[a] < batch_key_[b];
-            });
-  for (const std::uint32_t idx : batch_order_) {
-    out[idx] = occlusion_cause_from(from_xy, z_from, targets[idx].to_xy,
-                                    targets[idx].to_agl);
+    out[i] = occlusion_cause_from(from_xy, z_from, targets[i].to_xy, targets[i].to_agl);
   }
 }
 

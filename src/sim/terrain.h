@@ -82,13 +82,12 @@ class Terrain {
   /// that share one origin (a sensor frame) into out[i], each exactly
   /// equal to occlusion_cause(from_xy, from_agl, targets[i]...) — the
   /// equivalence test in tests/sim/occlusion_batch_test.cpp pins this
-  /// bit-for-bit, degenerate rays included. The batch amortises what the
-  /// per-ray entry point redoes every call: the origin's ground height is
-  /// sampled once per bundle, the candidate walk reuses one shared
-  /// stamp/scratch state with no per-ray allocation, and rays are
-  /// evaluated in direction-sorted order so consecutive CSR grid walks
-  /// revisit warm cells. Uses the mutable query scratch — not
-  /// thread-safe, like every other terrain query.
+  /// bit-for-bit, degenerate rays included. The batch samples the
+  /// origin's ground height once per bundle instead of once per ray.
+  ///
+  /// Every line-of-sight query (this, occlusion_cause, line_of_sight and
+  /// occlusion_cause_reference) is stateless: it reads only data fixed at
+  /// construction, so concurrent calls on one const Terrain are safe.
   void occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
                              const LosTarget* targets, std::size_t count,
                              OcclusionCause* out) const;
@@ -105,12 +104,21 @@ class Terrain {
     return occlusion_cause(from_xy, from_agl, to_xy, to_agl) == OcclusionCause::kNone;
   }
 
+  /// Index-free reference for occlusion_cause: scans every obstacle in
+  /// index order with the same blocking predicate, then the same terrain
+  /// sampling. O(obstacles) per ray — the oracle of the line-of-sight
+  /// parity tests and bench, not for the simulation's hot paths.
+  [[nodiscard]] OcclusionCause occlusion_cause_reference(core::Vec2 from_xy,
+                                                         double from_agl,
+                                                         core::Vec2 to_xy,
+                                                         double to_agl) const;
+
   /// True when the disc of `radius` at `p` overlaps an obstacle footprint
   /// (for machine/human placement and navigation).
   [[nodiscard]] bool blocked(core::Vec2 p, double radius) const;
 
-  /// Obstacles whose footprint comes within `margin` of segment [a,b],
-  /// in ascending obstacle-index order (occlusion_cause depends on it).
+  /// Obstacles whose footprint comes within `margin` (at most the 10 m
+  /// cell size) of segment [a,b], in ascending obstacle-index order.
   [[nodiscard]] std::vector<const Obstacle*> obstacles_near_segment(
       core::Vec2 a, core::Vec2 b, double margin = 0.0) const;
 
@@ -126,11 +134,23 @@ class Terrain {
 
  private:
   void build_index();
-  /// Stamp-walk of the 3x3 cell neighbourhoods crossed by [a, b] into
-  /// candidate_scratch_ (deduped, sorted ascending) — the shared
-  /// candidate-collection core of obstacles_near_segment and the
-  /// occlusion paths.
-  void collect_segment_candidates(core::Vec2 a, core::Vec2 b) const;
+  /// One sight line with both endpoints' absolute heights resolved; dir
+  /// is the planar unit direction (zero when len < 1e-9).
+  struct Ray {
+    core::Vec2 from;
+    core::Vec2 to;
+    core::Vec2 dir;
+    double z_from = 0.0;
+    double z_to = 0.0;
+    double len = 0.0;
+  };
+  [[nodiscard]] Ray make_ray(core::Vec2 from_xy, double z_from, core::Vec2 to_xy,
+                             double to_agl) const;
+  /// The per-obstacle occlusion predicate, shared by the grid walk and
+  /// the index-free reference.
+  [[nodiscard]] bool obstacle_blocks(const Obstacle& o, const Ray& ray) const;
+  /// Hill-crest occlusion: ground samples every 5 m along the ray.
+  [[nodiscard]] OcclusionCause terrain_cause(const Ray& ray) const;
   /// Per-ray occlusion body with the origin's absolute height precomputed
   /// (z_from = ground_height(from_xy) + from_agl). Shared by the single
   /// and batched entry points so their results are identical by
@@ -140,8 +160,9 @@ class Terrain {
                                                     double to_agl) const;
   /// Dense-grid slot for a raw cell coordinate (the traverse_grid
   /// convention: floor(v / cell_size)); out-of-range coordinates clamp to
-  /// the border, which only widens candidate sets — the exact distance
-  /// predicates keep results identical.
+  /// the border. The grid covers every obstacle's padded box, so a clamped
+  /// cell only widens a candidate set — the exact predicates keep results
+  /// identical.
   [[nodiscard]] std::size_t cell_slot(std::int64_t cx, std::int64_t cy) const {
     cx = std::clamp<std::int64_t>(cx - min_cx_, 0, width_ - 1);
     cy = std::clamp<std::int64_t>(cy - min_cy_, 0, height_ - 1);
@@ -171,17 +192,6 @@ class Terrain {
   std::int64_t height_ = 1;
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_items_;
-
-  // Generation-stamp dedup for obstacles_near_segment (an obstacle spans
-  // several cells and neighbourhoods overlap). Replaces a std::set per
-  // call; mutable scratch keeps the query allocation-free after warmup.
-  // Not thread-safe, like the rest of the simulation core.
-  mutable std::vector<std::uint64_t> visit_stamp_;
-  mutable std::uint64_t stamp_gen_ = 0;
-  mutable std::vector<std::uint32_t> candidate_scratch_;
-  /// Batch scratch: ray evaluation order + angular sort keys.
-  mutable std::vector<std::uint32_t> batch_order_;
-  mutable std::vector<double> batch_key_;
 };
 
 }  // namespace agrarsec::sim

@@ -81,6 +81,34 @@ TEST(SecuredWorksite, TelemetryExportCarriesHistograms) {
   EXPECT_GT(reg.histogram("wall.secured_step_us", 0, 1, 1).count(), 0u);
 }
 
+// The secured step's phase spans: every phase closes once per step, and
+// the phases (which exclude the worksite step) never add up to more than
+// the step's total wall time.
+TEST(SecuredWorksite, StepPhaseSpansSplitTheStepTotal) {
+  SecuredWorksite site{base_config(9)};
+  add_workers(site, 2);
+  constexpr std::uint64_t kSteps = 60;
+  for (std::uint64_t i = 0; i < kSteps; ++i) site.step();
+
+  obs::Tracer& tracer = site.telemetry().tracer();
+  const std::size_t phases_before = tracer.phase_count();
+  std::uint64_t phase_ns = 0;
+  for (const char* name : {"secured.sense", "secured.drone_report", "secured.telemetry",
+                           "secured.radio", "secured.ids", "secured.fusion_monitor",
+                           "secured.ground_truth"}) {
+    const obs::Tracer::PhaseStats& stats = tracer.stats(tracer.phase(name));
+    EXPECT_EQ(stats.calls, kSteps) << name;
+    phase_ns += stats.total_ns;
+  }
+  EXPECT_EQ(tracer.phase_count(), phases_before);  // all seven already existed
+
+  const obs::Histogram& total =
+      site.telemetry().registry().histogram("wall.secured_step_us", 0, 1, 1);
+  EXPECT_EQ(total.count(), kSteps);
+  EXPECT_GT(phase_ns, 0u);
+  EXPECT_LE(static_cast<double>(phase_ns) / 1000.0, total.sum() + 1e-6);
+}
+
 TEST(SecuredWorksite, RunsAndMovesLogs) {
   SecuredWorksite site{base_config(1)};
   site.run_for(20 * core::kMinute);

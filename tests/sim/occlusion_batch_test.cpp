@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -119,9 +120,8 @@ TEST(OcclusionBatchTest, DegenerateRays) {
 }
 
 TEST(OcclusionBatchTest, BundleOrderDoesNotChangeResults) {
-  // The batch sorts rays by direction internally; shuffling the input
-  // bundle must permute the outputs identically (out[i] always belongs
-  // to targets[i]).
+  // Shuffling the input bundle must permute the outputs identically
+  // (out[i] always belongs to targets[i]).
   ForestConfig forest;
   forest.bounds = {{0, 0}, {200, 200}};
   core::Rng terrain_rng{7};
@@ -168,11 +168,47 @@ TEST(OcclusionBatchTest, SingleRayAndEmptyBundles) {
   terrain.occlusion_cause_batch({10, 10}, 2.0, empty, out);
   EXPECT_TRUE(out.empty());
 
-  // count == 1 takes the no-sort fast path.
   std::vector<Terrain::LosTarget> one{{{90.0, 90.0}, 1.5}};
   terrain.occlusion_cause_batch({10, 10}, 2.0, one, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], terrain.occlusion_cause({10, 10}, 2.0, {90.0, 90.0}, 1.5));
+}
+
+// Line-of-sight queries keep no scratch, so threads may share one const
+// Terrain: bundles resolved concurrently equal the serial answers (and
+// the TSan pass in scripts/check.sh sees no race).
+TEST(OcclusionBatchTest, ConcurrentBundlesOnOneTerrainMatchSerial) {
+  ForestConfig forest;
+  forest.bounds = {{0, 0}, {200, 200}};
+  core::Rng terrain_rng{21};
+  const Terrain terrain = Terrain::generate(forest, terrain_rng);
+
+  constexpr int kThreads = 2;
+  core::Rng rng{77};
+  std::vector<core::Vec2> origins;
+  std::vector<std::vector<Terrain::LosTarget>> bundles;
+  for (int f = 0; f < 8 * kThreads; ++f) {
+    origins.push_back({rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)});
+    bundles.emplace_back();
+    for (int i = 0; i < 48; ++i) {
+      bundles.back().push_back({{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)},
+                                rng.uniform(0.5, 2.0)});
+    }
+  }
+  std::vector<std::vector<Cause>> serial(bundles.size()), parallel(bundles.size());
+  for (std::size_t f = 0; f < bundles.size(); ++f) {
+    terrain.occlusion_cause_batch(origins[f], 2.5, bundles[f], serial[f]);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t f = static_cast<std::size_t>(t); f < bundles.size(); f += kThreads) {
+        terrain.occlusion_cause_batch(origins[f], 2.5, bundles[f], parallel[f]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace
