@@ -1,16 +1,16 @@
 // Fleet-scale hot-loop baseline with --threads and --sessions axes.
 // Steps the 16-machine Figure-1-style site (2 harvesters, 12 forwarders,
-// 2 drones, 48 workers, windthrow hazards on) and reports steps/sec at
-// threads=1 and at the requested shard count, so both the serial hot
-// path and the parallel-stepping speedup show up as numbers future PRs
-// must not lower. The --sessions axis does the same one level up: a
-// FleetService stepping N independent secured worksite sessions, serial
-// vs batched across the pool, reported as session-steps/sec.
+// 2 drones, 48 workers, windthrow hazards on) and a 4x larger preset,
+// and reports their steps/sec: a worksite steps serially, so this is the
+// hot path future PRs must not slow down. Parallelism lives one level
+// up, in the fleet axis: a FleetService stepping --sessions independent
+// secured worksite sessions, serial vs batched across --threads service
+// threads, reported as session-steps/sec.
 //
-// Determinism is part of the contract: before timing, a parity
-// cross-check runs the same site serially and sharded and compares
-// metrics bit-for-bit, the full event-bus sequence, and every machine
-// pose. The fleet section extends it per session: every session's
+// Determinism is part of the contract: each worksite preset runs twice
+// and the two runs must agree bit-for-bit on metrics, the full event-bus
+// sequence, every machine pose and the deterministic telemetry export.
+// The fleet section extends it per session: every session's
 // deterministic telemetry export must be byte-identical across service
 // thread counts, and session 0 must match a solo run outside any fleet.
 // Any mismatch fails the benchmark (non-zero exit) — a fast wrong
@@ -118,24 +118,15 @@ struct RunResult {
   std::uint64_t pose_digest = 0;
   sim::Worksite::Metrics metrics;
   /// Deterministic telemetry export (counters + flight recorder, no wall
-  /// clock) — must be byte-identical across thread counts.
+  /// clock) — must be byte-identical across repeated runs.
   std::string telemetry_json;
-  std::vector<std::uint64_t> shard_busy_ns;
-  std::uint64_t parallel_phase_ns = 0;  ///< span wall time of sharded phases
-  /// Dispatch-to-completion wall time summed over the actual parallel
-  /// jobs (ThreadPool job observer): excludes the serial work (effect
-  /// drains, index rebuilds) that runs inside the same phase spans, so it
-  /// is the correct utilization denominator. Always <= parallel_phase_ns.
-  std::uint64_t parallel_wall_ns = 0;
 };
 
-/// Steps `preset` for `steps` at `threads` shards. A non-null `artifact`
-/// names the telemetry artifact the run writes (<artifact>.telemetry.json).
-RunResult run_worksite(std::size_t threads, std::uint64_t steps,
-                       const SitePreset& preset = kDefaultPreset,
+/// Steps `preset` for `steps`. A non-null `artifact` names the telemetry
+/// artifact the run writes (<artifact>.telemetry.json).
+RunResult run_worksite(std::uint64_t steps, const SitePreset& preset,
                        const char* artifact = nullptr) {
   sim::WorksiteConfig config = site_config(preset);
-  config.threads = threads;
   sim::Worksite site{config, 42};
 
   Digest events;
@@ -188,82 +179,33 @@ RunResult run_worksite(std::size_t threads, std::uint64_t steps,
   r.pose_digest = poses.h;
 
   r.telemetry_json = site.telemetry().deterministic_json();
-  const obs::Tracer& tracer = site.telemetry().tracer();
-  for (std::size_t shard = 0; shard < tracer.shard_count(); ++shard) {
-    r.shard_busy_ns.push_back(tracer.shard_busy_ns(shard));
-  }
-  for (std::size_t i = 0; i < tracer.phase_count(); ++i) {
-    const std::string_view name = tracer.phase_name(i);
-    if (name == "worksite.decide" || name == "worksite.integrate" ||
-        name == "worksite.separation") {
-      r.parallel_phase_ns += tracer.stats(i).total_ns;
-    }
-  }
-  r.parallel_wall_ns = tracer.parallel_wall_ns();
   if (artifact != nullptr) obs::write_bench_artifact(site.telemetry(), artifact);
   return r;
 }
 
-/// Per-shard utilization: busy time each pool worker spent inside sharded
-/// job bodies, as a fraction of the wall time actually spent dispatched
-/// on parallel jobs (parallel_wall_ns, the job-observer sum). The earlier
-/// revision divided by the enclosing phase-span totals, which include the
-/// serial drains/index work running inside the same spans — that
-/// overstated idle fractions; utilization_accounting_ok() pins the fix.
-void print_utilization(const char* label, const RunResult& r) {
-  if (r.shard_busy_ns.size() <= 1 || r.parallel_wall_ns == 0) return;
-  std::printf("  per-shard utilization [%s] (%.1f ms in parallel jobs, "
-              "%.1f ms in parallel phases):\n",
-              label, static_cast<double>(r.parallel_wall_ns) / 1e6,
-              static_cast<double>(r.parallel_phase_ns) / 1e6);
-  for (std::size_t shard = 0; shard < r.shard_busy_ns.size(); ++shard) {
-    const double busy_ms = static_cast<double>(r.shard_busy_ns[shard]) / 1e6;
-    const double frac = static_cast<double>(r.shard_busy_ns[shard]) /
-                        static_cast<double>(r.parallel_wall_ns);
-    std::printf("    shard %2zu: %8.1f ms busy  %5.1f%%\n", shard, busy_ms,
-                100.0 * frac);
-  }
-}
-
-/// Regression assertion for the utilization denominator: the job-observer
-/// wall sum must be a strict subset of the enclosing phase spans (it
-/// excludes their serial segments), and no shard can be busier than the
-/// jobs were long. A violation counts as a parity mismatch — wrong
-/// utilization numbers have steered real scheduling decisions.
-bool utilization_accounting_ok(const RunResult& r) {
-  if (r.parallel_wall_ns > r.parallel_phase_ns) return false;
-  for (const std::uint64_t busy : r.shard_busy_ns) {
-    if (busy > r.parallel_wall_ns) return false;
-  }
-  return true;
-}
-
 struct PresetRun {
-  RunResult serial;
-  RunResult sharded;
+  RunResult first;
+  RunResult repeat;
   int mismatches = 0;
 };
 
-/// Steps `preset` serially and at `threads` shards, prints both rates and
-/// the shard table, and checks serial-vs-sharded parity: the metrics,
-/// event and pose digests and the deterministic telemetry export (the
-/// wall-clock annex is excluded by design) must match bit-for-bit, and
-/// the utilization accounting must hold. The sharded run writes the
-/// telemetry artifact `artifact`.
+/// Steps `preset` twice, prints both rates, and checks run-to-run parity:
+/// the metrics, event and pose digests and the deterministic telemetry
+/// export (the wall-clock annex is excluded by design) must match
+/// bit-for-bit. The first run's rate is the one the baseline gates; the
+/// repeat writes the telemetry artifact `artifact`.
 PresetRun run_preset(const SitePreset& preset, std::uint64_t steps,
-                     std::size_t threads, const char* artifact) {
+                     const char* artifact) {
   std::printf("worksite [%s]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
               " %llu steps\n",
               preset.name, preset.harvesters + preset.forwarders + preset.drones,
               preset.harvesters, preset.forwarders, preset.drones, preset.workers,
               static_cast<unsigned long long>(steps));
   PresetRun r;
-  r.serial = run_worksite(1, steps, preset);
-  std::printf("  threads=1:  %.0f steps/sec\n", r.serial.rate);
-  r.sharded = run_worksite(threads, steps, preset, artifact);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx)\n", threads, r.sharded.rate,
-              r.sharded.rate / r.serial.rate);
-  print_utilization(preset.name, r.sharded);
+  r.first = run_worksite(steps, preset);
+  std::printf("  run 1: %.0f steps/sec\n", r.first.rate);
+  r.repeat = run_worksite(steps, preset, artifact);
+  std::printf("  run 2: %.0f steps/sec\n", r.repeat.rate);
 
   const auto digest = [&r, &preset](const char* what, std::uint64_t a,
                                     std::uint64_t b) {
@@ -273,21 +215,15 @@ PresetRun run_preset(const SitePreset& preset, std::uint64_t steps,
                 preset.name, what, static_cast<unsigned long long>(a),
                 static_cast<unsigned long long>(b));
   };
-  digest("metrics", r.serial.metrics_digest, r.sharded.metrics_digest);
-  digest("event", r.serial.event_digest, r.sharded.event_digest);
-  digest("pose", r.serial.pose_digest, r.sharded.pose_digest);
-  if (r.serial.telemetry_json != r.sharded.telemetry_json) {
+  digest("metrics", r.first.metrics_digest, r.repeat.metrics_digest);
+  digest("event", r.first.event_digest, r.repeat.event_digest);
+  digest("pose", r.first.pose_digest, r.repeat.pose_digest);
+  if (r.first.telemetry_json != r.repeat.telemetry_json) {
     ++r.mismatches;
     std::printf("  PARITY MISMATCH [%s]: deterministic telemetry export differs\n",
                 preset.name);
   }
-  if (!utilization_accounting_ok(r.sharded)) {
-    ++r.mismatches;
-    std::printf("  ACCOUNTING MISMATCH [%s]: parallel-job wall exceeds phase spans"
-                " (utilization denominator regressed)\n", preset.name);
-  }
-  std::printf("  parity: %d mismatches (threads=1 vs threads=%zu)\n",
-              r.mismatches, threads);
+  std::printf("  parity: %d mismatches (run 1 vs run 2)\n", r.mismatches);
   return r;
 }
 
@@ -500,7 +436,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "bench_fleet_scale: bad argument '%s'\n"
                    "usage: bench_fleet_scale [--quick] [--threads N] [--sessions N]"
-                   " [--artifact-dir DIR]\n",
+                   " [--artifact-dir DIR]\n"
+                   "  --threads N   fleet-service threads for the session axis"
+                   " (0 = hardware concurrency);\n"
+                   "                the worksite presets always step serially\n",
                    given.c_str());
       return 2;
     }
@@ -511,8 +450,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>((quick ? 2 : 10) * core::kMinute) / 100;
 
   std::printf("=== fleet-scale hot-loop benchmark ===\n\n");
-  const PresetRun def = run_preset(kDefaultPreset, steps, threads, "bench_fleet_scale");
-  const RunResult& serial = def.serial;
+  const PresetRun def = run_preset(kDefaultPreset, steps, "bench_fleet_scale");
+  const RunResult& serial = def.first;
   std::printf("  cross-check: delivered=%.1fm3 cycles=%llu min_sep=%.2fm"
               " windthrow=%llu reuses=%llu\n",
               serial.metrics.delivered_m3,
@@ -521,12 +460,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(serial.metrics.windthrow_events),
               static_cast<unsigned long long>(serial.metrics.route_reuses));
 
-  // Large preset: the fleet-scale site the SoA layout targets. Serial rate
-  // gates in the baseline; the parallel run doubles as a parity check at
-  // scale and writes the preset's own telemetry artifact.
+  // Large preset: the fleet-scale site the SoA layout targets. Its first
+  // run's rate gates in the baseline; the repeat doubles as a parity check
+  // at scale and writes the preset's own telemetry artifact.
   std::printf("\n");
   const PresetRun large =
-      run_preset(kLargePreset, quick ? 120 : 600, threads, "bench_fleet_scale.large");
+      run_preset(kLargePreset, quick ? 120 : 600, "bench_fleet_scale.large");
   int mismatches = def.mismatches + large.mismatches;
 
   // Fleet-service axis: N independent secured-worksite sessions batched
@@ -570,17 +509,14 @@ int main(int argc, char** argv) {
   std::printf("\nradio medium, jittered broadcast fan-out:\n");
   const RadioResult radio = run_radio(64, quick ? 2000 : 10000);
 
-  // Machine-readable summary for the CI regression gate. Only the serial
-  // rate gates: the parallel rate depends on the runner's core count.
+  // Machine-readable summary for the CI regression gate. Only serial rates
+  // gate: the parallel fleet rate depends on the runner's core count.
   // "*_exact" metrics are deterministic semantics, not rates: bench_gate.py
   // requires them to match the baseline exactly (full-length run) in both
   // directions, so a behaviour change to the planner cache or the radio
   // loss model cannot hide inside the perf tolerance.
   std::printf("\nBENCH worksite_steps_per_sec=%.0f\n", serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_parallel=%.0f\n", def.sharded.rate);
-  std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large.serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_large_parallel=%.0f\n",
-              large.sharded.rate);
+  std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large.first.rate);
   std::printf("BENCH los_rays_per_sec=%.0f\n", los.rays_per_sec);
   std::printf("BENCH parity_mismatches=%d\n", mismatches);
   std::printf("BENCH fleet_session_steps_per_sec=%.0f\n", fleet_serial.rate);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a sanitizer pass
 # (ASan + UBSan, halting on the first UBSan report) over every gtest
-# binary, then a ThreadSanitizer pass over the parallel-stepping suites.
+# binary, then a ThreadSanitizer pass over the threaded suites.
 # Usage: scripts/check.sh [--full-asan]   (--full-asan also runs the
 # non-gtest ctest entries — lint, golden and example checks — under the
 # sanitizers)
@@ -55,26 +55,29 @@ else
   done
 fi
 
-echo "== sanitizers: TSan over the parallel stepping paths =="
+echo "== sanitizers: TSan over the threaded paths =="
 # The suites that actually run worker threads: the thread pool itself,
 # the mutex-guarded logger under concurrent writers + sink swaps, the
-# telemetry registry's sharded lanes, the sharded worksite step at
-# threads > 1, the fleet service batching whole sessions across the
-# pool, and the console's HTTP + control server threads snapshotting and
-# pausing against concurrent step_all batches. A data race in the
-# decide/integrate/sample phases fails here even though the parity tests
-# (which compare outcomes, not interleavings) might still pass. The
-# net_test torture suite and the ConsoleStream/ConsoleSensor suites add
-# the poll-driven HTTP server under concurrent clients, SSE subscribers
+# telemetry registry's sharded lanes, the fleet service batching whole
+# sessions across the pool (the one parallel grain: a worksite steps
+# serially), and the console's HTTP + control server threads
+# snapshotting and pausing against concurrent step_all batches. A data
+# race between sessions fails here even though the parity tests (which
+# compare outcomes, not interleavings) might still pass. The net_test
+# torture suite and the ConsoleStream/ConsoleSensor suites add the
+# poll-driven HTTP server under concurrent clients, SSE subscribers
 # against a stepping fleet, and the control-plane IDS sensor written by
 # the control thread while /ids reads it. OcclusionBatchTest.Concurrent*
 # shares one const Terrain between threads resolving sight lines.
+# scripts/gtest_filter.sh fails any filter pattern that selects no tests,
+# so a renamed suite cannot silently drop out of these runs.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test net_test sim_test obs_test service_test
-./build-tsan/tests/core_test --gtest_filter='ThreadPool*:LogThreadSafety*'
-./build-tsan/tests/net_test --gtest_filter='HttpServerTorture*'
-./build-tsan/tests/obs_test --gtest_filter='RegistryTest.MergeIsDeterministic*'
-./build-tsan/tests/sim_test --gtest_filter='WorksiteParallel*:OcclusionBatchTest.Concurrent*'
-./build-tsan/tests/service_test --gtest_filter='FleetServiceParallel*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
+tsan_run() { ./scripts/gtest_filter.sh "./build-tsan/tests/$1" "$2"; }
+tsan_run core_test 'ThreadPool*:LogThreadSafety*'
+tsan_run net_test 'HttpServerTorture*'
+tsan_run obs_test 'RegistryTest.MergeIsDeterministic*'
+tsan_run sim_test 'OcclusionBatchTest.Concurrent*'
+tsan_run service_test 'FleetServiceParallel*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
 
 echo "== all checks passed =="

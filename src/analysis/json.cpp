@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/json.h"
+
 namespace agrarsec::analysis {
 
 Json Json::boolean(bool value) {
@@ -61,28 +63,6 @@ const Json* Json::find(std::string_view key) const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_number(std::string& out, double v) {
   // Integral values print without a decimal point (baseline versions,
   // counts); everything else uses shortest round-trip-ish %.17g.
@@ -110,7 +90,7 @@ void Json::serialize_to(std::string& out, int indent, int depth) const {
     case Kind::kNull: out += "null"; return;
     case Kind::kBool: out += bool_ ? "true" : "false"; return;
     case Kind::kNumber: append_number(out, number_); return;
-    case Kind::kString: append_escaped(out, string_); return;
+    case Kind::kString: core::append_json_string(out, string_); return;
     case Kind::kArray: {
       if (items_.empty()) {
         out += "[]";
@@ -135,7 +115,7 @@ void Json::serialize_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out += ',';
         append_indent(out, indent, depth + 1);
-        append_escaped(out, members_[i].first);
+        core::append_json_string(out, members_[i].first);
         out += indent > 0 ? ": " : ":";
         members_[i].second.serialize_to(out, indent, depth + 1);
       }

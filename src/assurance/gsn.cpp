@@ -249,10 +249,15 @@ std::string ArgumentModel::to_dot() const {
     }
     return "box";
   };
+  // Inside a DOT quoted string only \" is a string escape, but Graphviz
+  // reads \n, \l, \r (and \N, \G, ...) in labels as layout escapes, so a
+  // literal backslash must be doubled: a statement ending in \ would
+  // otherwise escape the closing quote.
   auto escape = [](const std::string& s) {
     std::string r;
     for (char c : s) {
       if (c == '"') r += "\\\"";
+      else if (c == '\\') r += "\\\\";
       else if (c == '\n') r += "\\n";
       else r += c;
     }

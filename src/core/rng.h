@@ -51,8 +51,8 @@ class Rng {
   /// (seed, domain, key) alone, consuming no parent state. Two sites with
   /// the same seed hand an entity with the same id the same stream no
   /// matter what anything else drew first — the property the worksite's
-  /// parallel stepping needs (per-entity streams keyed by entity id, not
-  /// by spawn order or by sharding). `domain` separates stream families
+  /// per-entity streams need (keyed by entity id, not by spawn order or
+  /// population). `domain` separates stream families
   /// (machines vs humans vs hazards) that share a key space.
   [[nodiscard]] static Rng fork_stream(std::uint64_t seed, std::uint64_t domain,
                                        std::uint64_t key);

@@ -75,18 +75,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 void ThreadPool::parallel_for(std::size_t n, const ShardFn& fn) {
   if (n == 0) return;
   if (shard_count_ <= 1 || workers_.empty()) {
-    const bool observed = observer_ || job_observer_;
-    const std::uint64_t start_ns = observed ? steady_now_ns() : 0;
+    const std::uint64_t start_ns = observer_ ? steady_now_ns() : 0;
     fn(0, n, 0);
-    if (observed) {
-      const std::uint64_t ns = steady_now_ns() - start_ns;
-      if (observer_) observer_(0, ns);
-      if (job_observer_) job_observer_(ns);
-    }
+    if (observer_) observer_(0, steady_now_ns() - start_ns);
     return;
   }
 
-  const std::uint64_t job_start_ns = job_observer_ ? steady_now_ns() : 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_fn_ = &fn;
@@ -104,7 +98,6 @@ void ThreadPool::parallel_for(std::size_t n, const ShardFn& fn) {
     job_done_.wait(lock, [&] { return shards_remaining_ == 0; });
     job_fn_ = nullptr;
   }
-  if (job_observer_) job_observer_(steady_now_ns() - job_start_ns);
   // First error in shard order (deterministic regardless of timing).
   for (const std::exception_ptr& err : shard_errors_) {
     if (err) std::rethrow_exception(err);

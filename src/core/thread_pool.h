@@ -1,10 +1,9 @@
-// Fixed-size thread pool for deterministic data-parallel simulation
-// phases. The worksite's hot loop shards per-entity work across a small
-// set of persistent workers (std::thread + condition_variable, no
-// external dependencies); determinism is preserved by the callers, which
-// only hand the pool *pure per-entity* work — every shared side effect is
-// buffered per entity and drained serially afterwards (see
-// sim::Worksite::step and DESIGN.md §9).
+// Fixed-size thread pool for deterministic data-parallel work. Its one
+// caller in the library is service::FleetService, which batches whole
+// simulation sessions across a small set of persistent workers
+// (std::thread + condition_variable, no external dependencies). Sessions
+// share no state, so the batch result does not depend on which thread
+// stepped which session (DESIGN.md §9, §18).
 //
 // Design notes:
 //  - Workers are started once and parked on a condition variable between
@@ -15,9 +14,8 @@
 //  - One assignment policy (DESIGN.md §14): [0, n) is split into at most
 //    shard_count() contiguous ranges, and the split depends only on
 //    (n, shard_count()), never on timing. Callers must still not depend
-//    on the index→shard mapping: work items must be independent and
-//    shared effects slot-buffered for the result to be thread-count-
-//    invariant.
+//    on the index→shard mapping: work items must be independent for the
+//    result to be thread-count-invariant.
 //  - Exceptions thrown by shard bodies are captured; the first one in
 //    shard order is rethrown on the caller.
 #pragma once
@@ -57,8 +55,8 @@ class ThreadPool {
                                      std::size_t shard)>;
 
   /// Runs `fn` over [0, n) and blocks until every shard finished. Safe to
-  /// call repeatedly (the hot loop calls it several times per step); not
-  /// reentrant from within a shard body.
+  /// call repeatedly (the fleet service calls it once per batch of
+  /// session steps); not reentrant from within a shard body.
   void parallel_for(std::size_t n, const ShardFn& fn);
 
   /// Observation hook: called once per participating shard per job with
@@ -71,15 +69,6 @@ class ThreadPool {
   using ShardObserver = std::function<void(std::size_t shard, std::uint64_t busy_ns)>;
   void set_shard_observer(ShardObserver observer) { observer_ = std::move(observer); }
 
-  /// Observation hook: called once per parallel_for on the calling thread
-  /// (a serial context) with the job's dispatch-to-completion wall time.
-  /// This measures only the span the pool actually had work in flight —
-  /// the denominator the per-shard utilization table needs (setup and
-  /// serial drains between jobs are excluded by construction). Must not
-  /// be swapped while a job is in flight; observation-only.
-  using JobObserver = std::function<void(std::uint64_t wall_ns)>;
-  void set_job_observer(JobObserver observer) { job_observer_ = std::move(observer); }
-
  private:
   void worker_loop(std::size_t worker_index);
   /// Runs one shard's contiguous range of the current job, capturing any
@@ -88,8 +77,7 @@ class ThreadPool {
 
   std::size_t shard_count_ = 1;
   std::vector<std::thread> workers_;
-  ShardObserver observer_;      ///< optional per-shard busy-time tap
-  JobObserver job_observer_;    ///< optional per-job wall-time tap
+  ShardObserver observer_;  ///< optional per-shard busy-time tap
 
   std::mutex mutex_;
   std::condition_variable job_ready_;

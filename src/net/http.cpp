@@ -5,8 +5,9 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <memory>
+
+#include "core/json.h"
 
 namespace agrarsec::net {
 
@@ -101,28 +102,6 @@ std::string_view HttpRequest::query_param(std::string_view key) const {
   return {};
 }
 
-// --- JSON string escaping -------------------------------------------------
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
 // --- HttpResponse ----------------------------------------------------------
 
 std::string HttpResponse::serialize() const {
@@ -174,9 +153,9 @@ HttpResponse HttpResponse::error(int status, std::string_view code,
   HttpResponse r;
   r.status = status;
   r.body = "{\"error\":\"";
-  append_json_escaped(r.body, code);
+  core::append_json_escaped(r.body, code);
   r.body += "\",\"message\":\"";
-  append_json_escaped(r.body, message);
+  core::append_json_escaped(r.body, message);
   r.body += "\"}";
   r.close_connection = status >= 400;
   return r;

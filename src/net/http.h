@@ -42,12 +42,6 @@
 
 namespace agrarsec::net {
 
-/// Appends `s` to `out` as the inside of a JSON string literal (no
-/// quotes): `"` and `\` get a backslash, \n \r \t their short escapes and
-/// every other control byte \u00XX. Client input echoed into a JSON
-/// response (a 404's path, an unknown RPC method) goes through here.
-void append_json_escaped(std::string& out, std::string_view s);
-
 struct HttpRequest {
   std::string method;   ///< GET / POST / HEAD (parser rejects others)
   std::string target;   ///< origin-form target, e.g. "/metrics?n=32"

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/json.h"
+
 namespace agrarsec::obs {
 
 namespace {
@@ -17,28 +19,6 @@ std::string format_double(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -164,7 +144,7 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out.push_back(':');
     out += std::to_string(c->value());
   }
@@ -174,7 +154,7 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out.push_back(':');
     out += format_double(g->value());
   }
@@ -184,7 +164,7 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out += ":{\"lo\":" + format_double(h->lo()) + ",\"hi\":" + format_double(h->hi());
     out += ",\"bins\":[";
     for (std::size_t i = 0; i < h->bins(); ++i) {

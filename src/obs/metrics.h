@@ -1,7 +1,7 @@
 // Process-wide metrics registry: named counters, gauges and histograms
 // with O(1) hot-path updates. Instruments carry one accumulator lane per
-// shard so the parallel step phases can update them without locks or
-// atomics; reads merge lanes in ascending lane order, which makes every
+// shard so the fleet service's parallel session batches can update them
+// without locks or atomics; reads merge lanes in ascending lane order, which makes every
 // exported integer quantity invariant under the thread count (uint64
 // addition commutes). Double-valued fields (gauge values, histogram
 // sum/min/max) are exact for the integer-valued samples the simulator
@@ -9,7 +9,7 @@
 // bit-identical across thread counts for everything the parity tests
 // compare.
 //
-// Threading contract (mirrors the worksite's shard/fork/drain pattern):
+// Threading contract (the fleet service's batches follow it):
 //  - instrument creation (Registry::counter/gauge/histogram) and
 //    ensure_lanes() are serial-phase only;
 //  - add(n, shard) may run concurrently as long as each shard index is

@@ -7,8 +7,9 @@
 //
 // Two export views:
 //  - deterministic_json(): registry snapshot + flight-recorder JSONL.
-//    Bit-identical across thread counts and runs with the same seeds —
-//    the parallel parity tests compare it directly.
+//    Bit-identical across service thread counts and runs with the same
+//    seeds — the fleet parity tests and the pinned worksite digests
+//    compare it directly.
 //  - to_json(): the full artifact; adds tracer phases, per-shard busy
 //    time and the wall-clock annex. Machine-dependent by nature.
 #pragma once

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analysis/json.h"
+#include "core/json.h"
 #include "obs/trace.h"
 #include "secure/handshake.h"
 
@@ -53,9 +54,9 @@ std::span<const std::uint8_t> console_aad() {
 std::string rpc_error(std::uint64_t id, std::string_view code,
                       std::string_view message) {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"error\":{\"code\":\"";
-  net::append_json_escaped(out, code);
+  core::append_json_escaped(out, code);
   out += "\",\"message\":\"";
-  net::append_json_escaped(out, message);
+  core::append_json_escaped(out, message);
   out += "\"}}";
   return out;
 }
@@ -503,7 +504,7 @@ core::Result<std::string> ConsoleClient::call(std::string_view method,
                                               std::string_view params_json) {
   std::string request = "{\"id\":" + std::to_string(next_id_++) +
                         ",\"method\":\"";
-  net::append_json_escaped(request, method);
+  core::append_json_escaped(request, method);
   request += "\",\"params\":";
   request += params_json;
   request += "}";

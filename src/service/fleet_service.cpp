@@ -1,5 +1,6 @@
 #include "service/fleet_service.h"
 
+#include "core/json.h"
 #include "core/rng.h"
 
 namespace agrarsec::service {
@@ -25,8 +26,8 @@ FleetService::FleetService(FleetServiceConfig config) : config_(config) {
 
   if (config_.threads != 1) {
     pool_ = std::make_unique<core::ThreadPool>(config_.threads);
-    // Observation-only busy-time tap, per-shard tracer lanes (same
-    // pattern as sim::Worksite).
+    // Observation-only busy-time tap into per-shard tracer lanes, so the
+    // concurrent callbacks never share an accumulator.
     pool_->set_shard_observer([this](std::size_t shard, std::uint64_t busy_ns) {
       telemetry_->tracer().add_shard_busy(shard, busy_ns);
     });
@@ -46,11 +47,9 @@ std::uint64_t FleetService::derive_session_seed(std::uint64_t fleet_seed,
 }
 
 SessionId FleetService::insert_session(integration::SecuredWorksiteConfig config) {
-  // The session is the unit of parallelism: its worksite must not spin up
-  // a nested pool inside a step_all work item. Its SecuredWorksite
-  // allocates its own telemetry from config.telemetry, so sessions share
-  // nothing observable — that isolation is the determinism contract.
-  config.worksite.threads = 1;
+  // The session is the unit of parallelism. Its SecuredWorksite allocates
+  // its own telemetry from config.telemetry, so sessions share nothing
+  // observable — that isolation is the determinism contract.
   config.worksite.telemetry = nullptr;
 
   const std::lock_guard<std::mutex> lock(mu_);
@@ -271,28 +270,6 @@ std::string FleetService::utilization_json() const {
   return out;
 }
 
-namespace {
-
-/// Renders newline-terminated JSONL event lines as a JSON array body.
-void append_jsonl_as_array(std::string& out, const std::string& jsonl) {
-  out.push_back('[');
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < jsonl.size()) {
-    std::size_t nl = jsonl.find('\n', pos);
-    if (nl == std::string::npos) nl = jsonl.size();
-    if (nl > pos) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.append(jsonl, pos, nl - pos);
-    }
-    pos = nl + 1;
-  }
-  out.push_back(']');
-}
-
-}  // namespace
-
 FleetService::FlightChunk FleetService::flight_read(SessionId id,
                                                     std::uint64_t cursor,
                                                     std::size_t max_events) const {
@@ -320,7 +297,7 @@ std::string FleetService::flight_since_json(SessionId id, std::uint64_t cursor,
   out += ",\"dropped\":" + std::to_string(chunk.dropped);
   out += ",\"next_cursor\":" + std::to_string(chunk.next_cursor);
   out += ",\"events\":";
-  append_jsonl_as_array(out, chunk.jsonl);
+  core::append_jsonl_as_array(out, chunk.jsonl);
   out += "}";
   return out;
 }
@@ -342,7 +319,7 @@ std::string FleetService::flight_tail_json(SessionId id,
   out += ",\"total_recorded\":" + std::to_string(total);
   out += ",\"next_cursor\":" + std::to_string(result.next_cursor);
   out += ",\"events\":";
-  append_jsonl_as_array(out, jsonl);
+  core::append_jsonl_as_array(out, jsonl);
   out += "}";
   return out;
 }

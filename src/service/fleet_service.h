@@ -5,8 +5,8 @@
 // concurrently, not one. The service owns N SecuredWorksite sessions
 // behind a create/step/teardown/query API and batches session stepping
 // across the core::ThreadPool at one-worksite-per-task granularity
-// (coarse-grained load balance; a session is the unit of parallelism, so
-// its own worksite always runs threads=1).
+// (coarse-grained load balance; a session is the unit of parallelism and
+// its worksite steps serially, DESIGN.md §18).
 //
 // Determinism contract (DESIGN.md §12): a session is fully self-contained
 // — its SecuredWorksite owns its RNG streams, radio, PKI and a private

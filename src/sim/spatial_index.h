@@ -15,10 +15,10 @@
 // Thread-safety: the index has no internal synchronisation, but the const
 // queries (query_radius with a caller-owned buffer, nearest, position,
 // contains) keep no mutable scratch, so any number of threads may query
-// concurrently while no mutation is in flight. Callers that step in
-// parallel must therefore split each step into a read phase (concurrent
-// queries against the frozen grid) and a serial write phase (insert /
-// update / remove) — the discipline Worksite::step() follows.
+// concurrently while no mutation is in flight. A caller that queries
+// from several threads must therefore split its work into a read phase
+// (concurrent queries against the frozen grid) and a serial write phase
+// (insert / update / remove).
 #pragma once
 
 #include <cstdint>

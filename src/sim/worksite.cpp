@@ -80,7 +80,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
       pile_index_(config.forest.bounds, kIndexCellM),
       separation_hist_(0.0, std::max(config.separation_tracking_m, 1e-6),
                        separation_bins(config)) {
-  // Telemetry first: the planners and the pool observer hang off it.
+  // Telemetry first: the planners hang off it.
   if (config_.telemetry != nullptr) {
     telemetry_ = config_.telemetry;
   } else {
@@ -121,23 +121,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   planner_ = base.get();
   planners_.emplace(clearance_key(planner_config.clearance_m), std::move(base));
 
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<core::ThreadPool>(config_.threads);
-    // Observation-only busy-time tap: per-shard tracer lanes, so the
-    // concurrent callbacks never share an accumulator.
-    pool_->set_shard_observer([this](std::size_t shard, std::uint64_t busy_ns) {
-      telemetry_->tracer().add_shard_busy(shard, busy_ns);
-    });
-    // Per-job wall-time tap (fires on the stepping thread between jobs):
-    // the exact utilization denominator — only spans where shards were
-    // actually dispatched.
-    pool_->set_job_observer([this](std::uint64_t wall_ns) {
-      telemetry_->tracer().add_parallel_wall(wall_ns);
-    });
-  }
-  const std::size_t shards = pool_ ? pool_->shard_count() : 1;
-  telemetry_->ensure_shards(shards);
-  shard_query_.resize(shards);
   if (config_.exact_separation_samples) separation_exact_.emplace();
 }
 
@@ -172,7 +155,7 @@ std::deque<core::Vec2> Worksite::plan_route(core::Vec2 from, core::Vec2 to) cons
 }
 
 void Worksite::route_machine(Machine& machine, core::Vec2 goal) {
-  // Serial context (effect drain / setup), so flight-recorder writes are
+  // Runs from the effect drain or setup, so flight-recorder writes are
   // ordered and deterministic here.
   PathPlanner& planner = planner_for(machine_clearance(machine));
   if (machine.try_reuse_route(goal, planner)) {
@@ -216,7 +199,6 @@ MachineId Worksite::register_machine(std::unique_ptr<Machine> machine) {
   if (machine->kind() == MachineKind::kDrone) drone_slots_.push_back(slot);
   machines_.push_back(std::move(machine));
   effects_.resize(machines_.size());
-  separation_buffers_.resize(machines_.size());
   return id;
 }
 
@@ -452,8 +434,8 @@ void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
   // indexes are frozen during the decide phase); shared effects are
   // buffered and committed by the drain. A pile another forwarder
   // exhausts this very step can therefore still be dispatched to — the
-  // kToPile re-check next step resolves it, the same way the serial code
-  // already handled a pile dying mid-wait.
+  // kToPile re-check next step resolves it, the same way a pile dying
+  // mid-wait is handled.
   switch (state.task) {
     case ForwarderTask::kIdle: {
       const auto pile = nearest_pile(forwarder.position());
@@ -492,7 +474,7 @@ void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
       if (state.action_remaining <= 0) {
         // The take amount and the follow-on dispatch depend on the live
         // pile state, which other forwarders mutate this step — commit
-        // runs in the drain, in slot order, exactly like the serial loop.
+        // runs in the drain, in slot order.
         fx.action = MachineEffects::Action::kLoadCommit;
       }
       break;
@@ -532,14 +514,12 @@ void Worksite::decide_drone(Machine& drone) {
   if (anchor == nullptr) return;
 
   // In the default decide phase this reads the anchor's start-of-step
-  // pose: machine kinematics all advance after the decide barrier, so it
-  // never races the anchor's movement (the serial loop used to see a
-  // post-step pose when the anchor had a lower id — a one-step lag on a
-  // 100 ms orbit update, not observable beyond the orbit tolerance).
-  // With config.drone_follow_post_integrate this instead runs from the
-  // serial follower phase after the integrate barrier, where the same
-  // read yields the anchor's current (post-step) pose and the lag is
-  // gone.
+  // pose: machine kinematics all advance in the integrate phase, after
+  // every decision — a one-step lag on a 100 ms orbit update, not
+  // observable beyond the orbit tolerance. With
+  // config.drone_follow_post_integrate this instead runs from the
+  // follower phase after the integrate phase, where the same read yields
+  // the anchor's current (post-step) pose and the lag is gone.
   orbit.phase += 0.35 * static_cast<double>(config_.step) / core::kSecond;
   const core::Vec2 target =
       anchor->position() +
@@ -547,8 +527,7 @@ void Worksite::decide_drone(Machine& drone) {
   drone.set_route({target});
 }
 
-void Worksite::decide_machine(std::size_t slot, std::size_t shard) {
-  (void)shard;
+void Worksite::decide_machine(std::size_t slot) {
   Machine& m = *machines_[slot];
   MachineEffects& fx = effects_[slot];
   fx = MachineEffects{};
@@ -561,7 +540,7 @@ void Worksite::decide_machine(std::size_t slot, std::size_t shard) {
       break;
     case MachineKind::kDrone:
       // Post-integrate followers are decided (and stepped) by
-      // follow_drones() after the integrate barrier instead.
+      // follow_drones() after the integrate phase instead.
       if (!config_.drone_follow_post_integrate) decide_drone(m);
       break;
   }
@@ -638,9 +617,19 @@ void Worksite::drain_machine_effects() {
   }
 }
 
-void Worksite::drain_separation_samples() {
+void Worksite::sample_separation() {
+  // Pure SoA streaming: kind/speed/pose reads hit the contiguous mirrors
+  // (refreshed in the index phase just before), never the per-entity heap
+  // objects.
+  const double radius = config_.separation_tracking_m;
   for (std::size_t slot = 0; slot < machines_.size(); ++slot) {
-    for (const double d : separation_buffers_[slot]) {
+    if (machine_hot_.kind[slot] != MachineKind::kForwarder) continue;
+    if (machine_hot_.speed[slot] < 0.3) continue;
+    const core::Vec2 mpos = machine_hot_.position(slot);
+    c_sep_queries_->add();
+    human_index_.query_radius(mpos, radius, query_buffer_);
+    for (const std::uint64_t id : query_buffer_) {
+      const double d = core::distance(mpos, human_hot_.position(human_slot_by_id_[id]));
       min_separation_ = std::min(min_separation_, d);
       separation_stats_.add(d);
       separation_hist_.add(d);
@@ -651,33 +640,6 @@ void Worksite::drain_separation_samples() {
 }
 
 void Worksite::follow_drones() {
-  // A drone anchored on another drone chains through the serial walk's
-  // ascending-slot order (a later drone reads the earlier one's already-
-  // stepped pose); sharding would change what it reads. Everything else
-  // is pure per-drone: own orbit state, own route, anchors frozen after
-  // the integrate barrier.
-  bool anchored_on_drone = false;
-  for (const std::size_t slot : drone_slots_) {
-    const auto it = drone_orbits_.find(machines_[slot]->id().value());
-    if (it == drone_orbits_.end()) continue;
-    const Machine* anchor = machine(it->second.anchor);
-    if (anchor != nullptr && anchor->kind() == MachineKind::kDrone) {
-      anchored_on_drone = true;
-      break;
-    }
-  }
-  if (pool_ && !anchored_on_drone && drone_slots_.size() > 1) {
-    pool_->parallel_for(drone_slots_.size(),
-                        [this](std::size_t begin, std::size_t end, std::size_t shard) {
-                          (void)shard;
-                          for (std::size_t i = begin; i < end; ++i) {
-                            Machine& drone = *machines_[drone_slots_[i]];
-                            decide_drone(drone);
-                            drone.step(config_.step);
-                          }
-                        });
-    return;
-  }
   for (const std::size_t slot : drone_slots_) {
     decide_drone(*machines_[slot]);
     machines_[slot]->step(config_.step);
@@ -739,14 +701,6 @@ Worksite::Metrics Worksite::metrics() const {
   return m;
 }
 
-void Worksite::parallel_over(std::size_t n, const core::ThreadPool::ShardFn& fn) {
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else if (n > 0) {
-    fn(0, n, 0);
-  }
-}
-
 void Worksite::step() {
   // Phase spans are observation-only wall-clock taps (obs::Tracer); no
   // value read here ever feeds back into sim state.
@@ -757,67 +711,50 @@ void Worksite::step() {
   clock_.tick();
 
   {
-    // Serial pre-phase: weather hazards mutate every planner's blocked
-    // grid (and publish), so they must land before the decide barrier.
+    // Weather hazards mutate every planner's blocked grid (and publish),
+    // so they land before any machine decides.
     obs::Tracer::Span span = tracer.scoped(ph_weather_);
     step_weather_hazards();
   }
 
   {
-    // Decide (parallel): per-machine FSMs against frozen shared state.
-    // Terrain and planner queries are excluded from this phase (both keep
-    // mutable scratch/caches); routing happens in the drain.
+    // Decide: per-machine FSMs against start-of-step shared state; shared
+    // effects are only recorded (routing happens in the drain).
     obs::Tracer::Span span = tracer.scoped(ph_decide_);
-    parallel_over(machines_.size(),
-                  [this](std::size_t begin, std::size_t end, std::size_t shard) {
-                    for (std::size_t i = begin; i < end; ++i) decide_machine(i, shard);
-                  });
+    for (std::size_t slot = 0; slot < machines_.size(); ++slot) decide_machine(slot);
   }
 
   {
-    // Drain (serial, ascending slot = id order): pile spawns and takes,
-    // planner routing, event publishes, delivery accounting. This pass
-    // alone orders every shared mutation, which is what makes the step
-    // thread-count-invariant.
+    // Drain (ascending slot = id order): pile spawns and takes, planner
+    // routing, event publishes, delivery accounting.
     obs::Tracer::Span span = tracer.scoped(ph_drain_);
     drain_machine_effects();
   }
 
   {
-    // Integrate (parallel): machine kinematics and human walks; each
-    // entity touches only itself (humans draw from their own streams).
+    // Integrate: machine kinematics, then human walks; each entity touches
+    // only itself (humans draw from their own streams).
     obs::Tracer::Span span = tracer.scoped(ph_integrate_);
-    const std::size_t machine_count = machines_.size();
     const bool defer_drones = config_.drone_follow_post_integrate;
-    parallel_over(machine_count + humans_.size(),
-                  [this, machine_count, defer_drones](std::size_t begin, std::size_t end,
-                                                      std::size_t shard) {
-                    (void)shard;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      if (i < machine_count) {
-                        if (defer_drones &&
-                            machines_[i]->kind() == MachineKind::kDrone) {
-                          continue;  // follower phase decides + steps these
-                        }
-                        machines_[i]->step(config_.step);
-                      } else {
-                        humans_[i - machine_count]->step(config_.step);
-                      }
-                    }
-                  });
+    for (const auto& m : machines_) {
+      // With the follower phase on, it decides and steps the drones.
+      if (defer_drones && m->kind() == MachineKind::kDrone) continue;
+      m->step(config_.step);
+    }
+    for (const auto& h : humans_) h->step(config_.step);
   }
 
   if (config_.drone_follow_post_integrate) {
-    // Follower phase (serial, ascending slot order): drones orbit the
-    // post-step anchor pose, eliminating the decide-phase one-step lag.
+    // Follower phase: drones orbit the post-step anchor pose, eliminating
+    // the decide-phase one-step lag.
     obs::Tracer::Span span = tracer.scoped(ph_follow_);
     follow_drones();
   }
 
   {
-    // Index write-phase (serial): fold the new human poses into the grid,
-    // drop exhausted piles, refresh the SoA mirrors (all pose mutations
-    // for this step are behind us now, so the mirrors match the entities
+    // Index write-phase: fold the new human poses into the grid, drop
+    // exhausted piles, refresh the SoA mirrors (all pose mutations for
+    // this step are behind us now, so the mirrors match the entities
     // bit-for-bit until the next step).
     obs::Tracer::Span span = tracer.scoped(ph_index_);
     for (const auto& h : humans_) {
@@ -828,33 +765,8 @@ void Worksite::step() {
   }
 
   {
-    // Separation sampling (parallel): the radius queries dominate the
-    // tracking cost; each machine writes distances into its own buffer
-    // using per-shard query scratch. The query counter uses its per-shard
-    // lane, so the total is thread-count-invariant without atomics.
     obs::Tracer::Span span = tracer.scoped(ph_separation_);
-    parallel_over(machines_.size(),
-                  [this](std::size_t begin, std::size_t end, std::size_t shard) {
-                    std::vector<std::uint64_t>& scratch = shard_query_[shard];
-                    const double radius = config_.separation_tracking_m;
-                    // Pure SoA streaming: kind/speed/pose reads hit the
-                    // contiguous mirrors (refreshed in the index phase
-                    // just above), never the per-entity heap objects.
-                    for (std::size_t i = begin; i < end; ++i) {
-                      std::vector<double>& out = separation_buffers_[i];
-                      out.clear();
-                      if (machine_hot_.kind[i] != MachineKind::kForwarder) continue;
-                      if (machine_hot_.speed[i] < 0.3) continue;
-                      const core::Vec2 mpos = machine_hot_.position(i);
-                      c_sep_queries_->add(1, shard);
-                      human_index_.query_radius(mpos, radius, scratch);
-                      for (const std::uint64_t id : scratch) {
-                        const std::size_t hs = human_slot_by_id_[id];
-                        out.push_back(core::distance(mpos, human_hot_.position(hs)));
-                      }
-                    }
-                  });
-    drain_separation_samples();
+    sample_separation();
   }
 
   h_step_wall_->add(

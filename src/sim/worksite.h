@@ -4,14 +4,15 @@
 // an observation drone. The worksite owns the clock and steps all agents;
 // the security/safety stacks hook in from outside via references.
 //
-// Parallel stepping (DESIGN.md §9): step() shards its per-entity work
-// across a core::ThreadPool when WorksiteConfig::threads > 1, and is
-// bit-identical for every thread count. The scheme is shard / fork /
-// drain: per-entity phases run in parallel against const shared state,
-// every entity owns an RNG stream forked once at spawn keyed by its id
-// (core::Rng::fork_stream), and all shared side effects (event-bus
-// publishes, planner calls, pile mutations, metric samples) are buffered
-// per entity and drained serially in ascending slot (= id) order.
+// Stepping (DESIGN.md §9, §18): step() is one serial pass over fixed
+// phases. Parallelism lives one level up: service::FleetService batches
+// whole sessions across a core::ThreadPool, each session stepping its own
+// worksite. Two rules define the trajectory: every entity owns an RNG
+// stream forked once at spawn keyed by its id (core::Rng::fork_stream),
+// so no entity's draws depend on who else draws; and machine decisions
+// read start-of-step state, their shared effects (event-bus publishes,
+// planner calls, pile mutations) applied afterwards in ascending slot
+// (= id) order.
 #pragma once
 
 #include <deque>
@@ -24,7 +25,6 @@
 #include "core/event_bus.h"
 #include "core/rng.h"
 #include "core/stats.h"
-#include "core/thread_pool.h"
 #include "core/time.h"
 #include "obs/telemetry.h"
 #include "sim/human.h"
@@ -98,10 +98,6 @@ struct WorksiteConfig {
   /// rounding up to the next histogram bin edge — audit-query precision
   /// at the cost of unbounded sample retention; leave off in long runs.
   bool exact_separation_samples = false;
-  /// Worker shards for the per-entity phases of step(). 1 = serial
-  /// (default), 0 = std::thread::hardware_concurrency(). Results are
-  /// bit-identical for every value (the parity tests enforce this).
-  std::size_t threads = 1;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
@@ -114,10 +110,11 @@ struct WorksiteConfig {
   core::SimDuration windthrow_duration = 10 * core::kMinute;
   /// Drone orbit targets are normally computed in the decide phase from
   /// the anchor's start-of-step pose — a deliberate one-step lag (see
-  /// decide_drone). Setting this runs drones in a serial follower phase
-  /// after the integrate barrier instead, so the orbit target tracks the
-  /// anchor's *current* (post-step) pose. Default off: the lag is within
-  /// orbit tolerance and the default trajectory is frozen by parity tests.
+  /// decide_drone). Setting this runs drones in a follower phase after
+  /// the integrate phase instead, so the orbit target tracks the anchor's
+  /// *current* (post-step) pose. Default off: the lag is within orbit
+  /// tolerance and the default trajectory is pinned by the
+  /// WorksiteDeterminism tests.
   bool drone_follow_post_integrate = false;
   /// Telemetry sink for the worksite's counters, step-phase spans and
   /// flight events. When null the worksite owns a private instance, so
@@ -236,9 +233,7 @@ class Worksite {
   void block_region(core::Vec2 center, double radius, bool blocked);
 
   /// Advances one fixed step: harvester produces, piles spawn, forwarders
-  /// run their task state machines, humans walk, drones orbit. With
-  /// config.threads > 1 the per-entity phases run on the worksite's
-  /// thread pool; outcomes are bit-identical for every thread count.
+  /// run their task state machines, humans walk, drones orbit.
   void step();
 
   // --- outcome metrics ---
@@ -301,11 +296,14 @@ class Worksite {
     core::SimTime until = 0;
   };
 
-  /// Per-machine side-effect buffer: the decide phase runs on worker
-  /// threads and must not touch shared state, so anything that publishes,
-  /// plans, or mutates piles is recorded here and applied by the drain in
-  /// ascending slot order. At most one action per machine per step (the
-  /// forwarder FSM takes one branch), plus an optional pile spawn.
+  /// Per-machine side-effect buffer. Every decision reads the site as of
+  /// the start of the step, so anything that publishes, plans, or mutates
+  /// piles is recorded here and applied by the drain in ascending slot
+  /// order once all machines have decided. The split is semantic: fusing
+  /// decide and drain would let a later machine see an earlier one's pile
+  /// take or spawn within the same step, which changes trajectories. At
+  /// most one action per machine per step (the forwarder FSM takes one
+  /// branch), plus an optional pile spawn.
   struct MachineEffects {
     enum class Action : std::uint8_t {
       kNone = 0,
@@ -322,42 +320,37 @@ class Worksite {
   };
 
   // --- step phases (see step() for ordering) ---
-  /// Serial: windthrow spawn/expiry against every planner.
+  /// Windthrow spawn/expiry against every planner.
   void step_weather_hazards();
-  /// Parallel: per-machine FSM decisions into effects_[slot].
-  void decide_machine(std::size_t slot, std::size_t shard);
+  /// Per-machine FSM decision into effects_[slot], against start-of-step
+  /// state.
+  void decide_machine(std::size_t slot);
   void decide_harvester(Machine& harvester, MachineEffects& fx);
   void decide_forwarder(Machine& forwarder, ForwarderState& state,
                         MachineEffects& fx);
   void decide_drone(Machine& drone);
-  /// Serial: applies effects_ in ascending slot order — pile spawns and
-  /// takes, planner routing, event-bus publishes, delivery accounting.
+  /// Applies effects_ in ascending slot order — pile spawns and takes,
+  /// planner routing, event-bus publishes, delivery accounting.
   void drain_machine_effects();
   void commit_load(Machine& forwarder, ForwarderState& state);
-  /// Serial: streams the per-machine separation samples gathered by the
-  /// parallel sampling pass into min/stats/histogram in slot order, so
-  /// the floating-point accumulation order is thread-count-invariant.
-  void drain_separation_samples();
+  /// Separation sampling: one radius query per moving forwarder, each
+  /// sample streamed into min/stats/histograms in slot-then-query order.
+  void sample_separation();
   /// Post-integrate follower phase (only when
-  /// config.drone_follow_post_integrate): decide + step every drone
-  /// against the anchors' post-step poses. The pass is pure per-drone
-  /// (own orbit state, own route; the slot-ordered effect buffer it
-  /// would drain is empty), so it shards across the pool whenever no
-  /// drone is anchored on another drone; a drone-on-drone anchor chain
-  /// falls back to the serial ascending-slot walk, whose order the
-  /// chained read depends on.
+  /// config.drone_follow_post_integrate): decide + step every drone in
+  /// ascending slot order against the anchors' post-step poses. A drone
+  /// anchored on another drone reads that drone's already-stepped pose
+  /// when the anchor has the lower slot.
   void follow_drones();
-  /// Serial: copies the entities' post-step poses into the SoA mirrors
+  /// Copies the entities' post-step poses into the SoA mirrors
   /// (contiguous writes, runs inside the index phase).
   void refresh_hot_state();
 
   /// Shared tail of the add_* spawners: slot bookkeeping, SoA append,
-  /// drone work-list, parallel-buffer growth.
+  /// drone work-list, effect-buffer growth.
   MachineId register_machine(std::unique_ptr<Machine> machine);
   /// route_machine body shared with the public id-based overload.
   void route_machine(Machine& machine, core::Vec2 goal);
-  /// Runs `fn(begin, end, shard)` over [0, n), on the pool when present.
-  void parallel_over(std::size_t n, const core::ThreadPool::ShardFn& fn);
   /// Nearest pile with harvestable volume, by stable pile id. Exact
   /// (expanding-ring search over the pile grid; only live piles indexed).
   std::optional<std::uint64_t> nearest_pile(core::Vec2 from) const;
@@ -380,7 +373,6 @@ class Worksite {
   /// iteration (stat aggregation, block_region) is in a fixed order.
   std::map<long, std::unique_ptr<PathPlanner>> planners_;
   PathPlanner* planner_ = nullptr;
-  std::unique_ptr<core::ThreadPool> pool_;
 
   std::vector<std::unique_ptr<Machine>> machines_;
   std::vector<std::unique_ptr<Human>> humans_;
@@ -406,13 +398,8 @@ class Worksite {
   SpatialIndex pile_index_;
   std::uint64_t next_pile_id_ = 1;
   mutable std::vector<std::uint64_t> query_buffer_;
-
-  // Parallel-phase buffers: per-machine effect/sample slots (disjoint
-  // writes, drained serially) and per-shard query scratch (a shard runs
-  // on exactly one thread per parallel_for).
+  /// Per-machine decisions of the current step, indexed by slot.
   std::vector<MachineEffects> effects_;
-  std::vector<std::vector<double>> separation_buffers_;
-  std::vector<std::vector<std::uint64_t>> shard_query_;
 
   // SoA mirrors of the hot read state (see MachineHotState); refreshed by
   // refresh_hot_state() once per step.
@@ -434,10 +421,10 @@ class Worksite {
   obs::Counter* c_route_reuses_ = nullptr;
   obs::Counter* c_windthrow_ = nullptr;
   obs::Counter* c_cycles_ = nullptr;
-  obs::Counter* c_sep_queries_ = nullptr;  ///< bumped per shard in the sampling phase
+  obs::Counter* c_sep_queries_ = nullptr;
   obs::Gauge* g_delivered_ = nullptr;
-  /// Separation distances (deterministic: fed in slot order by the serial
-  /// drain) and step wall-time ("wall." prefix keeps it out of the
+  /// Separation distances (deterministic: fed in slot-then-query order)
+  /// and step wall-time ("wall." prefix keeps it out of the
   /// deterministic export).
   obs::Histogram* h_separation_ = nullptr;
   obs::Histogram* h_step_wall_ = nullptr;

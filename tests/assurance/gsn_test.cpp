@@ -211,6 +211,18 @@ TEST(Gsn, DotExportContainsNodesAndEdges) {
   EXPECT_NE(dot.find("parallelogram"), std::string::npos);  // strategy shape
 }
 
+// Backslashes in labels and statements are literal text: they must come
+// out doubled, or a trailing \ escapes the closing quote and a \l turns
+// into a Graphviz layout escape.
+TEST(Gsn, DotExportEscapesBackslashes) {
+  ArgumentModel arg;
+  const GsnId g = arg.add(GsnType::kGoal, R"(G\l1)", R"(say "C:\tmp\" ends in \)");
+  const std::string dot = arg.to_dot();
+  const std::string node = "  n" + std::to_string(g.value()) +
+                           R"( [shape=box, label="G\\l1\nsay \"C:\\tmp\\\" ends in \\"];)";
+  EXPECT_NE(dot.find(node + "\n"), std::string::npos) << dot;
+}
+
 TEST(Gsn, ByLabelLookup) {
   SimpleCase c;
   ASSERT_NE(c.arg.by_label("G2"), nullptr);

@@ -116,28 +116,5 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
   EXPECT_GE(pool.shard_count(), 1u);
 }
 
-TEST(ThreadPoolTest, JobObserverFiresOncePerJobWithNonzeroWall) {
-  ThreadPool pool{4};
-  std::size_t jobs = 0;
-  std::uint64_t total_wall = 0;
-  pool.set_job_observer([&](std::uint64_t wall_ns) {
-    ++jobs;
-    total_wall += wall_ns;
-  });
-  for (int j = 0; j < 5; ++j) {
-    pool.parallel_for(64, [](std::size_t, std::size_t, std::size_t) {});
-  }
-  EXPECT_EQ(jobs, 5u);
-  EXPECT_GT(total_wall, 0u);
-
-  // A one-index job still dispatches (only shard 0 has work) and counts.
-  pool.parallel_for(1, [](std::size_t, std::size_t, std::size_t) {});
-  EXPECT_EQ(jobs, 6u);
-
-  // Empty jobs dispatch nothing and must not fire the observer.
-  pool.parallel_for(0, [](std::size_t, std::size_t, std::size_t) {});
-  EXPECT_EQ(jobs, 6u);
-}
-
 }  // namespace
 }  // namespace agrarsec::core

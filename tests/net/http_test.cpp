@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/json.h"
 #include "net/http.h"
 #include "net/stream.h"
 
@@ -185,7 +186,7 @@ TEST(HttpResponseTest, ErrorEscapesControlBytesInMessage) {
   EXPECT_EQ(err.body, "{\"error\":\"x\",\"message\":\"a\\tb\\u0001\"}");
 
   std::string out;
-  append_json_escaped(out, "\"\\\n\r\x1f~");
+  core::append_json_escaped(out, "\"\\\n\r\x1f~");
   EXPECT_EQ(out, "\\\"\\\\\\n\\r\\u001f~");
 }
 

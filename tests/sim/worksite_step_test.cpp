@@ -1,10 +1,13 @@
-// Determinism contract of the sharded step (DESIGN.md §9): threads=N must
-// be bit-identical to threads=1 — same metrics, same event sequence, same
-// poses, same RNG outcomes — plus the per-entity stream and per-clearance
-// planner invariants that make the parallel phases sound.
+// Step-level invariants of sim::Worksite: pinned trajectories for four
+// reference sites (WorksiteDeterminism), the drone follower phase, the
+// SoA hot-state mirrors, per-entity RNG streams, windthrow hazards,
+// separation tracking and per-clearance planners.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,8 +25,9 @@ WorksiteConfig fig1_site() {
   config.harvester_output_m3_per_min = 30.0;  // keep the fleet busy
   config.load_time = 10 * core::kSecond;
   config.unload_time = 8 * core::kSecond;
-  // Windthrow on so the parity run also covers hazard spawning, planner
-  // invalidation, and the hazard RNG stream.
+  // Windthrow on, so the hazard RNG stream is drawn every step. At this
+  // rate under clear weather a hazard fires about once per 12 sim-minutes;
+  // tests that need hazards to fire raise the rate or worsen the weather.
   config.windthrow_rate_per_hour = 20.0;
   config.windthrow_duration = 30 * core::kSecond;
   return config;
@@ -45,37 +49,21 @@ struct Snapshot {
   double sep_mean = 0.0;
   double sep_stddev = 0.0;
   std::uint64_t close_10m = 0;
-  /// Deterministic telemetry export (registry counters + flight events):
-  /// covered by the same bit-identical contract as everything above.
+  /// Deterministic telemetry export (registry counters + flight events).
   std::string telemetry_json;
 };
 
-/// Builds the Figure-1-style mixed fleet, steps `steps` times at the given
-/// shard count, and snapshots everything the parity contract covers.
-Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false) {
-  WorksiteConfig config = fig1_site();
-  config.threads = threads;
-  config.drone_follow_post_integrate = drone_follow;
-  Worksite site{config, 1234};
-
+/// Builds a site with `populate`, steps it `steps` times, and snapshots
+/// everything the determinism contract covers.
+template <typename Populate>
+Snapshot run_snapshot(const WorksiteConfig& config, std::uint64_t seed, int steps,
+                      Populate&& populate) {
+  Worksite site{config, seed};
   Snapshot snap;
   site.bus().subscribe_all([&snap](const core::Event& e) {
     snap.events.push_back({e.topic, e.payload, e.origin, e.time});
   });
-
-  site.add_harvester("h1", {250, 250});
-  std::vector<MachineId> forwarders;
-  for (int i = 0; i < 4; ++i) {
-    forwarders.push_back(site.add_forwarder(
-        "f" + std::to_string(i), {60.0 + 20.0 * i, 60.0}));
-  }
-  const MachineId drone = site.add_drone("d1", {50, 50});
-  site.set_drone_orbit(drone, forwarders[0], 25.0);
-  for (int i = 0; i < 8; ++i) {
-    const core::Vec2 anchor{100.0 + 30.0 * (i % 4), 120.0 + 60.0 * (i / 4)};
-    site.add_worker("w" + std::to_string(i), anchor, anchor);
-  }
-
+  populate(site);
   for (int i = 0; i < steps; ++i) site.step();
 
   for (const Machine* m : site.machines()) {
@@ -93,101 +81,138 @@ Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false) {
   return snap;
 }
 
-void expect_identical(const Snapshot& a, const Snapshot& b, std::size_t threads) {
-  SCOPED_TRACE("threads=" + std::to_string(threads));
-  // Event sequence: exact, in order (publishes happen only in the serial
-  // phases, in ascending machine-slot order).
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i], b.events[i]) << "event " << i;
+/// The Figure-1-style mixed fleet: a harvester, four forwarders, a drone
+/// orbiting the first forwarder, and eight workers.
+Snapshot run_site(int steps, bool drone_follow = false) {
+  WorksiteConfig config = fig1_site();
+  config.drone_follow_post_integrate = drone_follow;
+  return run_snapshot(config, 1234, steps, [](Worksite& site) {
+    site.add_harvester("h1", {250, 250});
+    std::vector<MachineId> forwarders;
+    for (int i = 0; i < 4; ++i) {
+      forwarders.push_back(site.add_forwarder(
+          "f" + std::to_string(i), {60.0 + 20.0 * i, 60.0}));
+    }
+    const MachineId drone = site.add_drone("d1", {50, 50});
+    site.set_drone_orbit(drone, forwarders[0], 25.0);
+    for (int i = 0; i < 8; ++i) {
+      const core::Vec2 anchor{100.0 + 30.0 * (i % 4), 120.0 + 60.0 * (i / 4)};
+      site.add_worker("w" + std::to_string(i), anchor, anchor);
+    }
+  });
+}
+
+/// FNV-1a over simulation outcomes. Doubles are hashed by bit pattern, so
+/// equal digests mean bit-identical results.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
   }
-  // Poses: bit-identical doubles (same operations in the same order on
-  // every entity, whatever thread stepped it).
-  EXPECT_EQ(a.machine_poses, b.machine_poses);
-  EXPECT_EQ(a.human_poses, b.human_poses);
-  // Metrics, including the float accumulators whose summation order the
-  // drain pins down.
-  EXPECT_EQ(a.metrics.delivered_m3, b.metrics.delivered_m3);
-  EXPECT_EQ(a.metrics.completed_cycles, b.metrics.completed_cycles);
-  EXPECT_EQ(a.metrics.min_human_separation, b.metrics.min_human_separation);
-  EXPECT_EQ(a.metrics.separation_samples, b.metrics.separation_samples);
-  EXPECT_EQ(a.metrics.route_reuses, b.metrics.route_reuses);
-  EXPECT_EQ(a.metrics.windthrow_events, b.metrics.windthrow_events);
-  EXPECT_EQ(a.metrics.planner.plans, b.metrics.planner.plans);
-  EXPECT_EQ(a.metrics.planner.cache_hits, b.metrics.planner.cache_hits);
-  EXPECT_EQ(a.metrics.planner.cache_misses, b.metrics.planner.cache_misses);
-  EXPECT_EQ(a.metrics.planner.invalidations, b.metrics.planner.invalidations);
-  EXPECT_EQ(a.sep_mean, b.sep_mean);
-  EXPECT_EQ(a.sep_stddev, b.sep_stddev);
-  EXPECT_EQ(a.close_10m, b.close_10m);
-  // Telemetry with per-shard counter lanes merges to the same bytes.
-  EXPECT_EQ(a.telemetry_json, b.telemetry_json);
-}
-
-TEST(WorksiteParallel, ThreadCountIsUnobservable) {
-  constexpr int kSteps = 600;  // one sim-minute, enough for full cycles
-  const Snapshot serial = run_site(1, kSteps);
-  ASSERT_FALSE(serial.events.empty());
-  ASSERT_GT(serial.metrics.separation_samples, 0u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(serial, run_site(threads, kSteps), threads);
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
   }
+};
+
+struct SiteDigests {
+  std::uint64_t events = 0;
+  std::uint64_t poses = 0;
+  std::uint64_t metrics = 0;
+  std::uint64_t telemetry = 0;
+  bool operator==(const SiteDigests&) const = default;
+};
+
+/// Prints digests as initializer text, ready to paste into kPinned.
+void PrintTo(const SiteDigests& d, std::ostream* os) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "{0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL}",
+                static_cast<unsigned long long>(d.events),
+                static_cast<unsigned long long>(d.poses),
+                static_cast<unsigned long long>(d.metrics),
+                static_cast<unsigned long long>(d.telemetry));
+  *os << buf;
 }
 
-TEST(WorksiteParallel, ZeroThreadsMeansHardwareConcurrency) {
-  // threads=0 must resolve and still honour the parity contract.
-  const Snapshot serial = run_site(1, 200);
-  expect_identical(serial, run_site(0, 200), 0);
-}
-
-// The post-integrate follower phase is serial, but the drones it defers
-// are skipped by two parallel phases (decide, integrate) — the parity
-// contract must hold with the flag on too.
-TEST(WorksiteParallel, DroneFollowPostIntegrateThreadCountIsUnobservable) {
-  constexpr int kSteps = 300;
-  const Snapshot serial = run_site(1, kSteps, /*drone_follow=*/true);
-  ASSERT_FALSE(serial.events.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(serial, run_site(threads, kSteps, /*drone_follow=*/true),
-                     threads);
+SiteDigests digest(const Snapshot& snap) {
+  SiteDigests d;
+  Fnv1a events;
+  for (const RecordedEvent& e : snap.events) {
+    events.str(e.topic);
+    events.str(e.payload);
+    events.u64(e.origin);
+    events.u64(static_cast<std::uint64_t>(e.time));
   }
-}
+  d.events = events.h;
 
-// The flag only re-times the drone's orbit update: everything else on the
-// site — events, outcome metrics, every non-drone pose — is untouched,
-// while the drone trajectory itself changes (it now tracks the post-step
-// anchor pose).
-TEST(WorksiteParallel, DroneFollowFlagOnlyAffectsDroneTrajectory) {
-  constexpr int kSteps = 300;
-  const Snapshot off = run_site(1, kSteps, /*drone_follow=*/false);
-  const Snapshot on = run_site(1, kSteps, /*drone_follow=*/true);
-  ASSERT_EQ(off.events.size(), on.events.size());
-  EXPECT_EQ(off.human_poses, on.human_poses);
-  EXPECT_EQ(off.metrics.delivered_m3, on.metrics.delivered_m3);
-  EXPECT_EQ(off.metrics.completed_cycles, on.metrics.completed_cycles);
-  // Slot 5 is the drone (harvester + 4 forwarders precede it).
-  ASSERT_EQ(off.machine_poses.size(), 6u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(off.machine_poses[i], on.machine_poses[i]) << "machine " << i;
+  Fnv1a poses;
+  for (const auto& [x, y, heading, speed, load] : snap.machine_poses) {
+    for (const double v : {x, y, heading, speed, load}) poses.f64(v);
   }
-  EXPECT_NE(off.machine_poses[5], on.machine_poses[5]);
+  for (const auto& [x, y] : snap.human_poses) {
+    poses.f64(x);
+    poses.f64(y);
+  }
+  d.poses = poses.h;
+
+  Fnv1a metrics;
+  const Worksite::Metrics& m = snap.metrics;
+  metrics.f64(m.delivered_m3);
+  metrics.u64(m.completed_cycles);
+  metrics.f64(m.min_human_separation);
+  metrics.u64(m.separation_samples);
+  metrics.u64(m.route_reuses);
+  metrics.u64(m.windthrow_events);
+  metrics.u64(m.planner.plans);
+  metrics.u64(m.planner.cache_hits);
+  metrics.u64(m.planner.cache_misses);
+  metrics.u64(m.planner.invalidations);
+  metrics.u64(m.planner.jps_expansions);
+  metrics.f64(snap.sep_mean);
+  metrics.f64(snap.sep_stddev);
+  metrics.u64(snap.close_10m);
+  d.metrics = metrics.h;
+
+  Fnv1a telemetry;
+  telemetry.str(snap.telemetry_json);
+  d.telemetry = telemetry.h;
+  return d;
 }
 
-// The follower phase shards across the pool when several drones are
-// anchored on non-drones: a multi-drone site must stay bit-identical
-// across thread counts with the flag on (regression for the serial ->
-// sharded follow_drones change).
-TEST(WorksiteParallel, MultiDroneFollowPostIntegrateParity) {
-  constexpr int kSteps = 300;
-  auto run_multi_drone = [](std::size_t threads) {
-    WorksiteConfig config = fig1_site();
-    config.threads = threads;
-    config.drone_follow_post_integrate = true;
-    Worksite site{config, 99};
-    Snapshot snap;
-    site.bus().subscribe_all([&snap](const core::Event& e) {
-      snap.events.push_back({e.topic, e.payload, e.origin, e.time});
-    });
+// Pinned trajectories. The expected digests were taken from the sharded
+// implementation this serial step replaced (where threads=1, 2 and 8 all
+// produced them), so they pin that every event, pose, metric and export
+// byte survived the removal. A deliberate behaviour change re-pins them,
+// with the diff explained.
+TEST(WorksiteDeterminism, Fig1Site600Steps) {
+  const Snapshot snap = run_site(600);  // one sim-minute
+  ASSERT_FALSE(snap.events.empty());
+  ASSERT_GT(snap.metrics.separation_samples, 0u);
+  constexpr SiteDigests kPinned{0xec5c69473ea88904ULL, 0x9a27cad1fbe8459dULL,
+                                  0xd36f43a219058c87ULL, 0x51d342df628446d9ULL};
+  EXPECT_EQ(digest(snap), kPinned);
+}
+
+TEST(WorksiteDeterminism, Fig1SiteDroneFollow300Steps) {
+  const Snapshot snap = run_site(300, /*drone_follow=*/true);
+  ASSERT_FALSE(snap.events.empty());
+  constexpr SiteDigests kPinned{0x1f453892893e0131ULL, 0x808440db415e6a63ULL,
+                                  0xa0d57c15e7c7d392ULL, 0xdd0023d10346a8edULL};
+  EXPECT_EQ(digest(snap), kPinned);
+}
+
+// Six drones, each orbiting its own forwarder, in the post-integrate
+// follower phase.
+TEST(WorksiteDeterminism, SixDroneFollowSite) {
+  WorksiteConfig config = fig1_site();
+  config.drone_follow_post_integrate = true;
+  const Snapshot snap = run_snapshot(config, 99, 300, [](Worksite& site) {
     site.add_harvester("h1", {250, 250});
     std::vector<MachineId> forwarders;
     for (int i = 0; i < 6; ++i) {
@@ -203,60 +228,56 @@ TEST(WorksiteParallel, MultiDroneFollowPostIntegrateParity) {
       const core::Vec2 anchor{120.0 + 40.0 * i, 150.0};
       site.add_worker("w" + std::to_string(i), anchor, anchor);
     }
-    for (int i = 0; i < kSteps; ++i) site.step();
-    for (const Machine* m : site.machines()) {
-      snap.machine_poses.emplace_back(m->position().x, m->position().y,
-                                      m->heading(), m->speed(), m->load_m3());
-    }
-    snap.metrics = site.metrics();
-    snap.telemetry_json = site.telemetry().deterministic_json();
-    return snap;
-  };
-  const Snapshot serial = run_multi_drone(1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Snapshot sharded = run_multi_drone(threads);
-    ASSERT_EQ(serial.events.size(), sharded.events.size());
-    for (std::size_t i = 0; i < serial.events.size(); ++i) {
-      EXPECT_EQ(serial.events[i], sharded.events[i]) << "event " << i;
-    }
-    EXPECT_EQ(serial.machine_poses, sharded.machine_poses);
-    EXPECT_EQ(serial.telemetry_json, sharded.telemetry_json);
-  }
+  });
+  ASSERT_FALSE(snap.events.empty());
+  constexpr SiteDigests kPinned{0x93ad53a455373730ULL, 0x79ad4a3749c3f2bcULL,
+                                  0x72e77633ef06c67eULL, 0xd9b6f50048da02bfULL};
+  EXPECT_EQ(digest(snap), kPinned);
 }
 
-// A drone anchored on another drone forces the serial follower fallback
-// (the chained read depends on slot order); the site must still step and
-// stay deterministic across thread counts.
-TEST(WorksiteParallel, DroneOnDroneAnchorFallsBackSerially) {
-  auto run_chained = [](std::size_t threads) {
-    WorksiteConfig config = fig1_site();
-    config.threads = threads;
-    config.drone_follow_post_integrate = true;
-    config.windthrow_rate_per_hour = 0.0;
-    Worksite site{config, 17};
+// A drone anchored on another drone: the follower phase walks drones in
+// ascending slot order, so d2 reads d1's already-stepped pose.
+TEST(WorksiteDeterminism, DroneOnDroneChain) {
+  WorksiteConfig config = fig1_site();
+  config.drone_follow_post_integrate = true;
+  config.windthrow_rate_per_hour = 0.0;
+  const Snapshot snap = run_snapshot(config, 17, 200, [](Worksite& site) {
     const MachineId f = site.add_forwarder("f1", {60, 60});
     const MachineId d1 = site.add_drone("d1", {50, 40});
     const MachineId d2 = site.add_drone("d2", {70, 40});
     site.set_drone_orbit(d1, f, 25.0);
     site.set_drone_orbit(d2, d1, 15.0);  // drone-on-drone chain
     site.route_machine(f, {300, 300});
-    for (int i = 0; i < 200; ++i) site.step();
-    std::vector<std::pair<double, double>> poses;
-    for (const Machine* m : site.machines()) {
-      poses.emplace_back(m->position().x, m->position().y);
-    }
-    return poses;
-  };
-  const auto serial = run_chained(1);
-  EXPECT_EQ(serial, run_chained(2));
-  EXPECT_EQ(serial, run_chained(8));
+  });
+  constexpr SiteDigests kPinned{0x14650fb0739d0383ULL, 0x9b7969c30c66c944ULL,
+                                  0x6661eb09c16a1e73ULL, 0x91cf3827edbecc6aULL};
+  EXPECT_EQ(digest(snap), kPinned);
+}
+
+// The flag only re-times the drone's orbit update: everything else on the
+// site — events, outcome metrics, every non-drone pose — is untouched,
+// while the drone trajectory itself changes (it now tracks the post-step
+// anchor pose).
+TEST(WorksiteStep, DroneFollowFlagOnlyAffectsDroneTrajectory) {
+  constexpr int kSteps = 300;
+  const Snapshot off = run_site(kSteps, /*drone_follow=*/false);
+  const Snapshot on = run_site(kSteps, /*drone_follow=*/true);
+  ASSERT_EQ(off.events.size(), on.events.size());
+  EXPECT_EQ(off.human_poses, on.human_poses);
+  EXPECT_EQ(off.metrics.delivered_m3, on.metrics.delivered_m3);
+  EXPECT_EQ(off.metrics.completed_cycles, on.metrics.completed_cycles);
+  // Slot 5 is the drone (harvester + 4 forwarders precede it).
+  ASSERT_EQ(off.machine_poses.size(), 6u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(off.machine_poses[i], on.machine_poses[i]) << "machine " << i;
+  }
+  EXPECT_NE(off.machine_poses[5], on.machine_poses[5]);
 }
 
 // humans_within_slots is the allocation-free twin of humans_within: same
 // set, same ascending-id order, slots resolving to the same people via
 // the SoA mirror.
-TEST(WorksiteParallel, HumansWithinSlotsMatchesHumansWithin) {
+TEST(WorksiteStep, HumansWithinSlotsMatchesHumansWithin) {
   WorksiteConfig config = fig1_site();
   Worksite site{config, 31};
   site.add_forwarder("f1", {60, 60});
@@ -287,7 +308,7 @@ TEST(WorksiteParallel, HumansWithinSlotsMatchesHumansWithin) {
 
 // The SoA mirrors must match the entities bit-for-bit between steps —
 // from spawn (before any step) and after every refresh.
-TEST(WorksiteParallel, HotStateMirrorsEntitiesBetweenSteps) {
+TEST(WorksiteStep, HotStateMirrorsEntitiesBetweenSteps) {
   WorksiteConfig config = fig1_site();
   Worksite site{config, 63};
   site.add_harvester("h1", {250, 250});
@@ -404,7 +425,7 @@ TEST(WorksiteDroneFollow, PostIntegrateFollowerReadsPostStepPose) {
 // worksite seed and its own id, never on who else draws. Adding a second
 // worker must leave the first worker's walk untouched (with the old shared
 // stream it interleaved draws and diverged immediately).
-TEST(WorksiteParallel, WorkerStreamIndependentOfPopulation) {
+TEST(WorksiteStep, WorkerStreamIndependentOfPopulation) {
   WorksiteConfig config = fig1_site();
   config.windthrow_rate_per_hour = 0.0;
 
@@ -428,7 +449,7 @@ TEST(WorksiteParallel, WorkerStreamIndependentOfPopulation) {
 
 // Same invariant for machines: the harvester's pile placement draws come
 // from its own stream, so an unrelated extra machine does not perturb it.
-TEST(WorksiteParallel, HarvesterStreamIndependentOfPopulation) {
+TEST(WorksiteStep, HarvesterStreamIndependentOfPopulation) {
   WorksiteConfig config = fig1_site();
   config.windthrow_rate_per_hour = 0.0;
 
@@ -452,7 +473,7 @@ TEST(WorksiteParallel, HarvesterStreamIndependentOfPopulation) {
 // S2: weather-driven windthrow must actually reach the planners — events
 // on the bus, hazards counted, cached routes invalidated, debris cleared
 // after the configured duration.
-TEST(WorksiteParallel, WindthrowBlocksPlannersAndClears) {
+TEST(WorksiteStep, WindthrowBlocksPlannersAndClears) {
   WorksiteConfig config = fig1_site();
   config.weather = Weather::kSnow;           // highest hazard factor
   config.windthrow_rate_per_hour = 2000.0;   // deterministic-ish: fires fast
@@ -481,7 +502,7 @@ TEST(WorksiteParallel, WindthrowBlocksPlannersAndClears) {
   EXPECT_GT(site.metrics().planner.invalidations, 0u);
 }
 
-TEST(WorksiteParallel, WindthrowFactorOrdering) {
+TEST(WorksiteStep, WindthrowFactorOrdering) {
   EXPECT_LT(windthrow_weather_factor(Weather::kClear),
             windthrow_weather_factor(Weather::kFog));
   EXPECT_LT(windthrow_weather_factor(Weather::kFog),
@@ -492,7 +513,7 @@ TEST(WorksiteParallel, WindthrowFactorOrdering) {
 
 // S3: the exact sample set and the streaming histogram must agree on
 // close_encounters at histogram bin edges (where no rounding happens).
-TEST(WorksiteParallel, ExactSamplesAgreeWithHistogramAtBinEdges) {
+TEST(WorksiteStep, ExactSamplesAgreeWithHistogramAtBinEdges) {
   WorksiteConfig base = fig1_site();
   base.windthrow_rate_per_hour = 0.0;
 
@@ -536,7 +557,7 @@ TEST(WorksiteParallel, ExactSamplesAgreeWithHistogramAtBinEdges) {
 // S1 regression: machines with different clearances must not share a route
 // cache. A drone-width route served to a forwarder would thread gaps the
 // forwarder cannot take.
-TEST(WorksiteParallel, PerClearancePlannerInstances) {
+TEST(WorksiteStep, PerClearancePlannerInstances) {
   Worksite site{fig1_site(), 3};
   const MachineId f = site.add_forwarder("f1", {60, 60});
   const MachineId d = site.add_drone("d1", {60, 60});
