@@ -157,8 +157,6 @@ RunResult run_worksite(std::uint64_t steps, const SitePreset& preset,
   m.u64(r.metrics.windthrow_events);
   m.u64(r.metrics.planner.plans);
   m.u64(r.metrics.planner.cache_hits);
-  m.f64(site.separation_stats().mean());
-  m.f64(site.separation_stats().stddev());
   m.u64(site.close_encounters(10.0));
   r.metrics_digest = m.h;
 

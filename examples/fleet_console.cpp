@@ -96,10 +96,12 @@ bool run(bool smoke) {
     std::printf("GET /metrics -> %zu bytes of registry + traces\n",
                 metrics.value().size());
     auto flight = service::http_get_local(
-        console.http_port(), "/flight/" + std::to_string(ids[0]) + "?n=3");
-    if (flight.ok()) std::printf("GET /flight/%llu?n=3\n  %s\n\n",
-                                 static_cast<unsigned long long>(ids[0]),
-                                 flight.value().c_str());
+        console.http_port(), "/flight/" + std::to_string(ids[0]) + "?cursor=0&n=3");
+    if (flight.ok()) {
+      std::printf("GET /flight/%llu?cursor=0&n=3 (up to 3 events from seq 0; poll again "
+                  "with next_cursor to resume)\n  %s\n\n",
+                  static_cast<unsigned long long>(ids[0]), flight.value().c_str());
+    }
   }
 
   // Authenticated control plane: handshake, then sealed JSON-RPC records.

@@ -1,10 +1,10 @@
 // Streaming statistics used across the experiment harnesses: Welford
-// mean/variance, min/max, fixed-bin histograms and exact percentiles over
-// retained samples (experiment scales are small enough to retain).
+// mean/variance, min/max and exact percentiles over retained samples
+// (experiment scales are small enough to retain). Fixed-bin histograms
+// live in the obs registry (obs::Histogram).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace agrarsec::core {
@@ -54,30 +54,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   void ensure_sorted() const;
-};
-
-/// Fixed-range histogram with uniform bins plus under/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_low(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart (for bench output).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace agrarsec::core

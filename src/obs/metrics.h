@@ -73,9 +73,9 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-range histogram with the same bin semantics as core::Stats'
-/// Histogram: x < lo counts as underflow, x >= hi as overflow, otherwise
-/// bin = floor((x - lo) / (hi - lo) * bins) clamped to the last bin.
+/// Fixed-range histogram: x < lo counts as underflow, x >= hi as
+/// overflow, otherwise bin = floor((x - lo) / (hi - lo) * bins) clamped to
+/// the last bin.
 class Histogram {
  public:
   void add(double x, std::size_t shard = 0);

@@ -87,6 +87,30 @@ bool parse_session_id(std::string_view text, SessionId& out) {
   return true;
 }
 
+/// Events per /flight/<session> page when ?n= is absent.
+constexpr std::size_t kFlightPageEvents = 64;
+
+/// Parses the flight routes' optional ?cursor= (absent = 0).
+bool parse_cursor(const net::HttpRequest& request, std::uint64_t& cursor) {
+  const std::string_view c = request.query_param("cursor");
+  return c.empty() || parse_session_id(c, cursor);
+}
+
+net::HttpResponse bad_cursor() {
+  return net::HttpResponse::error(400, "bad_param",
+                                  "cursor must be a non-negative integer");
+}
+
+/// A cursor past the newest event (one kept from an older service run)
+/// would poll empty pages forever, and a stream opened on it would later
+/// skip the events below it without a "dropped" frame: it is refused.
+net::HttpResponse future_cursor(std::uint64_t total_recorded) {
+  return net::HttpResponse::error(
+      400, "bad_param",
+      "cursor is past the newest event (total_recorded=" +
+          std::to_string(total_recorded) + ")");
+}
+
 }  // namespace
 
 // --- ConsoleService --------------------------------------------------------
@@ -192,7 +216,7 @@ net::HttpResponse ConsoleService::route_flight(const net::HttpRequest& request,
   if (!parse_session_id(id_text, id)) {
     return net::HttpResponse::error(400, "bad_session", "non-numeric session id");
   }
-  std::size_t n = config_.flight_tail_default;
+  std::size_t n = kFlightPageEvents;
   if (const std::string_view q = request.query_param("n"); !q.empty()) {
     SessionId parsed = 0;
     if (!parse_session_id(q, parsed) || parsed == 0) {
@@ -200,24 +224,18 @@ net::HttpResponse ConsoleService::route_flight(const net::HttpRequest& request,
     }
     n = static_cast<std::size_t>(parsed);
   }
-  std::string body;
-  if (const std::string_view c = request.query_param("cursor"); !c.empty()) {
-    // Sequenced poll: resume exactly after the last event of the previous
-    // response (its "next_cursor") — repeated polls never overlap.
-    std::uint64_t cursor = 0;
-    if (!parse_session_id(c, cursor)) {
-      return net::HttpResponse::error(400, "bad_param",
-                                      "cursor must be a non-negative integer");
-    }
-    body = fleet_.flight_since_json(id, cursor, n);
-  } else {
-    body = fleet_.flight_tail_json(id, n);
-  }
-  if (body.empty()) {
+  // Sequenced poll: resume exactly after the last event of the previous
+  // response (its "next_cursor") — repeated polls never overlap. Without
+  // a cursor the page starts at the oldest held event.
+  std::uint64_t cursor = 0;
+  if (!parse_cursor(request, cursor)) return bad_cursor();
+  const FleetService::FlightChunk chunk = fleet_.flight_read(id, cursor, n);
+  if (!chunk.ok) {
     return net::HttpResponse::error(404, "unknown_session",
                                     "no such session: " + std::to_string(id));
   }
-  return net::HttpResponse::json(std::move(body));
+  if (cursor > chunk.total_recorded) return future_cursor(chunk.total_recorded);
+  return net::HttpResponse::json(FleetService::flight_json(id, chunk));
 }
 
 net::HttpResponse ConsoleService::route_stream_flight(
@@ -227,16 +245,13 @@ net::HttpResponse ConsoleService::route_stream_flight(
     return net::HttpResponse::error(400, "bad_session", "non-numeric session id");
   }
   std::uint64_t cursor = 0;
-  if (const std::string_view c = request.query_param("cursor"); !c.empty()) {
-    if (!parse_session_id(c, cursor)) {
-      return net::HttpResponse::error(400, "bad_param",
-                                      "cursor must be a non-negative integer");
-    }
-  }
-  if (!fleet_.flight_read(id, cursor, 0).ok) {
+  if (!parse_cursor(request, cursor)) return bad_cursor();
+  const FleetService::FlightChunk probe = fleet_.flight_read(id, cursor, 0);
+  if (!probe.ok) {
     return net::HttpResponse::error(404, "unknown_session",
                                     "no such session: " + std::to_string(id));
   }
+  if (cursor > probe.total_recorded) return future_cursor(probe.total_recorded);
   // One SSE frame per flight event; `id:` carries the sequence number and
   // the data line is byte-identical to the polled JSONL export's line.
   // Ring overwrites are surfaced as an explicit "dropped" frame, so a

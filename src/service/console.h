@@ -10,9 +10,11 @@
 //    running fleet, served to N concurrent observers by the poll-driven
 //    server. GET /metrics (full fleet telemetry artifact incl. "wall."
 //    instruments), /sessions (per-session status + step counts),
-//    /utilization (per-shard busy-time table), /flight/<session>?n=K
-//    (flight-recorder tail; add ?cursor=C for sequenced non-overlapping
-//    polls), /ids (the console's own control-plane sensor counters), plus
+//    /utilization (per-shard busy-time table),
+//    /flight/<session>?cursor=C&n=K (sequenced, non-overlapping polls of
+//    the flight recorder: K events from seq C on, default C=0 and K=64;
+//    a cursor past the newest event is refused with 400), /ids (the
+//    console's own control-plane sensor counters), plus
 //    two Server-Sent-Events streams: /stream/flight/<session>?cursor=C
 //    (live flight-recorder events, payload bytes identical to the polled
 //    JSONL export, explicit `dropped` frames when a subscriber lags past
@@ -77,8 +79,6 @@ struct ConsoleConfig {
   /// Leaf subjects allowed on the control plane. Empty = any peer that
   /// validates against the trust store.
   std::vector<std::string> allowed_subjects;
-  /// Events returned by /flight/<session> when ?n= is absent.
-  std::size_t flight_tail_default = 64;
   int max_commands_per_connection = 1024;
   /// Control-session rotation: after this many dispatched commands the
   /// server closes the control connection, forcing the operator client to

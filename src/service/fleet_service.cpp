@@ -288,9 +288,7 @@ FleetService::FlightChunk FleetService::flight_read(SessionId id,
   return chunk;
 }
 
-std::string FleetService::flight_since_json(SessionId id, std::uint64_t cursor,
-                                            std::size_t max_events) const {
-  const FlightChunk chunk = flight_read(id, cursor, max_events);
+std::string FleetService::flight_json(SessionId id, const FlightChunk& chunk) {
   if (!chunk.ok) return {};
   std::string out = "{\"session\":" + std::to_string(id);
   out += ",\"total_recorded\":" + std::to_string(chunk.total_recorded);
@@ -302,33 +300,13 @@ std::string FleetService::flight_since_json(SessionId id, std::uint64_t cursor,
   return out;
 }
 
-std::string FleetService::flight_tail_json(SessionId id,
-                                           std::size_t max_events) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  const obs::FlightRecorder& recorder = it->second->site->telemetry().recorder();
-  // Tail = a cursor read starting max_events before the newest event; the
-  // lines come from the same serializer as the polled JSONL export.
-  const std::uint64_t total = recorder.total_recorded();
-  const std::uint64_t start =
-      total > max_events ? total - max_events : 0;
-  std::string jsonl;
-  const auto result = recorder.read_since(start, max_events, jsonl);
-  std::string out = "{\"session\":" + std::to_string(id);
-  out += ",\"total_recorded\":" + std::to_string(total);
-  out += ",\"next_cursor\":" + std::to_string(result.next_cursor);
-  out += ",\"events\":";
-  core::append_jsonl_as_array(out, jsonl);
-  out += "}";
-  return out;
+std::string FleetService::flight_since_json(SessionId id, std::uint64_t cursor,
+                                            std::size_t max_events) const {
+  return flight_json(id, flight_read(id, cursor, max_events));
 }
 
 std::string FleetService::export_session_json(SessionId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  return it->second->site->telemetry().deterministic_json();
+  return session_deterministic_json(id);
 }
 
 }  // namespace agrarsec::service

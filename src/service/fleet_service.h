@@ -58,8 +58,8 @@ class FleetService {
 
   // --- session lifecycle ---
   /// Creates a session from an explicit config (config.seed is used as
-  /// given). The session's worksite thread count is forced to 1: sessions
-  /// are the parallel grain, nested pools would only oversubscribe.
+  /// given). The session is the parallel grain: its worksite steps
+  /// serially inside one batch work item.
   SessionId create_session(integration::SecuredWorksiteConfig config);
   /// Creates a session whose seed is derived from (fleet_seed, key) by
   /// stateless fork — the same key always yields the same session stream,
@@ -109,13 +109,6 @@ class FleetService {
   [[nodiscard]] std::string sessions_json() const;
   /// Per-shard busy-time table of the service pool.
   [[nodiscard]] std::string utilization_json() const;
-  /// Tail of one session's flight recorder as a JSON array (newest-last,
-  /// at most `max_events` events; empty string when the id is unknown).
-  /// Also carries "next_cursor" — pass it to flight_since_json (or back to
-  /// /flight/<id>?cursor=) to resume without overlapping tails.
-  [[nodiscard]] std::string flight_tail_json(SessionId id,
-                                             std::size_t max_events = 64) const;
-
   /// One cursor-sequenced read from a session's flight recorder. The
   /// JSONL payload is produced by FlightRecorder::read_since, so its
   /// bytes match the polled to_jsonl() export line-for-line.
@@ -130,13 +123,16 @@ class FleetService {
   };
   [[nodiscard]] FlightChunk flight_read(SessionId id, std::uint64_t cursor,
                                         std::size_t max_events) const;
-  /// flight_read rendered for the polling endpoint:
+  /// A chunk rendered for the polling endpoint:
   /// {"session":..,"total_recorded":..,"dropped":..,"next_cursor":..,
-  ///  "events":[...]} (empty string when the id is unknown).
+  ///  "events":[...]} (empty string when !chunk.ok). Pass "next_cursor"
+  /// back as the next read's cursor to resume without overlap.
+  [[nodiscard]] static std::string flight_json(SessionId id, const FlightChunk& chunk);
+  /// flight_json(id, flight_read(id, cursor, max_events)).
   [[nodiscard]] std::string flight_since_json(SessionId id, std::uint64_t cursor,
                                               std::size_t max_events = 64) const;
-  /// Locked variant of session_deterministic_json for the console's
-  /// export verb.
+  /// Same as session_deterministic_json, under the name the console's
+  /// export verb uses; both names stay because fleetbench calls both.
   [[nodiscard]] std::string export_session_json(SessionId id) const;
 
   // --- queries ---

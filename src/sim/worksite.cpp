@@ -39,12 +39,6 @@ constexpr std::uint64_t kMachineStreamDomain = 0x4D41434821ULL;
 constexpr std::uint64_t kHumanStreamDomain = 0x48554D414EULL;
 constexpr std::uint64_t kWeatherStreamDomain = 0x57454154ULL;
 
-std::size_t separation_bins(const WorksiteConfig& config) {
-  const double range = std::max(config.separation_tracking_m, 1e-6);
-  const double bin = std::max(config.separation_bin_m, 1e-6);
-  return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(range / bin)));
-}
-
 long clearance_key(double clearance_m) {
   return std::lround(std::max(clearance_m, 0.0) * 10.0);
 }
@@ -77,9 +71,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
       hazard_rng_(core::Rng::fork_stream(seed, kWeatherStreamDomain, 0)),
       clock_(config.step),
       human_index_(config.forest.bounds, kIndexCellM),
-      pile_index_(config.forest.bounds, kIndexCellM),
-      separation_hist_(0.0, std::max(config.separation_tracking_m, 1e-6),
-                       separation_bins(config)) {
+      pile_index_(config.forest.bounds, kIndexCellM) {
   // Telemetry first: the planners hang off it.
   if (config_.telemetry != nullptr) {
     telemetry_ = config_.telemetry;
@@ -94,8 +86,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   c_cycles_ = &reg.counter("worksite.completed_cycles");
   c_sep_queries_ = &reg.counter("worksite.separation_queries");
   g_delivered_ = &reg.gauge("worksite.delivered_m3");
-  // Coarse export view of the separation distribution (the full-resolution
-  // core::Histogram stays the close_encounters() source); the step
+  // The separation histogram answers every separation read; the step
   // wall-time histogram is excluded from the deterministic export by its
   // "wall." prefix.
   h_separation_ = &reg.histogram("worksite.separation_m", 0.0,
@@ -120,8 +111,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   base->set_telemetry(&reg);
   planner_ = base.get();
   planners_.emplace(clearance_key(planner_config.clearance_m), std::move(base));
-
-  if (config_.exact_separation_samples) separation_exact_.emplace();
 }
 
 double Worksite::machine_clearance(const Machine& machine) {
@@ -629,12 +618,8 @@ void Worksite::sample_separation() {
     c_sep_queries_->add();
     human_index_.query_radius(mpos, radius, query_buffer_);
     for (const std::uint64_t id : query_buffer_) {
-      const double d = core::distance(mpos, human_hot_.position(human_slot_by_id_[id]));
-      min_separation_ = std::min(min_separation_, d);
-      separation_stats_.add(d);
-      separation_hist_.add(d);
-      h_separation_->add(d);
-      if (separation_exact_) separation_exact_->add(d);
+      h_separation_->add(
+          core::distance(mpos, human_hot_.position(human_slot_by_id_[id])));
     }
   }
 }
@@ -661,24 +646,21 @@ void Worksite::refresh_hot_state() {
   }
 }
 
+double Worksite::min_human_separation() const {
+  return h_separation_->count() > 0 ? h_separation_->min() : 1e9;
+}
+
 std::uint64_t Worksite::close_encounters(double threshold_m) const {
   if (threshold_m <= 0.0) return 0;
-  if (separation_exact_) {
-    // Exact audit path: scan the retained samples; agrees with the
-    // histogram whenever threshold_m lands on a bin edge.
-    const auto& samples = separation_exact_->samples();
-    return static_cast<std::uint64_t>(
-        std::count_if(samples.begin(), samples.end(),
-                      [threshold_m](double d) { return d < threshold_m; }));
-  }
   // Bin counts up to the threshold (rounded up to the next bin edge),
   // plus the overflow bucket when the threshold exceeds the tracked range.
-  std::uint64_t n = separation_hist_.underflow();
-  for (std::size_t i = 0; i < separation_hist_.bins(); ++i) {
-    if (separation_hist_.bin_low(i) >= threshold_m) break;
-    n += separation_hist_.bin_count(i);
+  const obs::Histogram& h = *h_separation_;
+  std::uint64_t n = h.underflow();
+  for (std::size_t i = 0; i < h.bins(); ++i) {
+    if (h.bin_low(i) >= threshold_m) break;
+    n += h.bin_count(i);
   }
-  if (threshold_m > config_.separation_tracking_m) n += separation_hist_.overflow();
+  if (threshold_m > config_.separation_tracking_m) n += h.overflow();
   return n;
 }
 
@@ -686,8 +668,8 @@ Worksite::Metrics Worksite::metrics() const {
   Metrics m;
   m.delivered_m3 = g_delivered_->value();
   m.completed_cycles = c_cycles_->value();
-  m.min_human_separation = min_separation_;
-  m.separation_samples = separation_stats_.count();
+  m.min_human_separation = min_human_separation();
+  m.separation_samples = h_separation_->count();
   m.route_reuses = c_route_reuses_->value();
   m.windthrow_events = c_windthrow_->value();
   for (const auto& [key, planner] : planners_) {

@@ -24,7 +24,6 @@
 
 #include "core/event_bus.h"
 #include "core/rng.h"
-#include "core/stats.h"
 #include "core/time.h"
 #include "obs/telemetry.h"
 #include "sim/human.h"
@@ -87,17 +86,11 @@ struct WorksiteConfig {
   double pile_capacity_m3 = 7.0;
   core::SimDuration load_time = 90 * core::kSecond;
   core::SimDuration unload_time = 60 * core::kSecond;
-  /// Separation statistics are streamed into a histogram covering
-  /// [0, separation_tracking_m]; pairs farther apart than this are not
-  /// safety-relevant and are not recorded (keeps the hot loop local).
+  /// Separation samples are streamed into the registry histogram
+  /// "worksite.separation_m" (25 bins over [0, separation_tracking_m]);
+  /// pairs farther apart than this are not safety-relevant and are not
+  /// recorded (keeps the hot loop local).
   double separation_tracking_m = 50.0;
-  /// Histogram resolution for close_encounters() queries (metres).
-  double separation_bin_m = 0.1;
-  /// Also retain every separation sample in an exact core::SampleSet.
-  /// close_encounters() then answers *any* threshold exactly instead of
-  /// rounding up to the next histogram bin edge — audit-query precision
-  /// at the cost of unbounded sample retention; leave off in long runs.
-  bool exact_separation_samples = false;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
@@ -120,7 +113,9 @@ struct WorksiteConfig {
   /// flight events. When null the worksite owns a private instance, so
   /// instrumentation is always live; inject a shared one (SecuredWorksite
   /// does) to merge the full stack into a single export. Must outlive the
-  /// worksite.
+  /// worksite, and may back at most one worksite: delivered_m3(),
+  /// completed_cycles() and every separation read (min_human_separation,
+  /// close_encounters, Metrics) answer from its "worksite.*" instruments.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -258,25 +253,12 @@ class Worksite {
   /// Minimum human–forwarder distance seen while the forwarder moved
   /// faster than 0.3 m/s (the safety-relevant exposure metric). Tracked
   /// within separation_tracking_m; 1e9 when no such pair was ever seen.
-  [[nodiscard]] double min_human_separation() const { return min_separation_; }
-  /// Count of recorded separation samples below `threshold_m`. Answered
-  /// from the streaming histogram at separation_bin_m resolution
-  /// (thresholds are rounded up to the next bin edge), O(bins) instead of
-  /// a scan over every sample ever recorded — unless
-  /// config.exact_separation_samples is set, in which case the retained
-  /// sample set is scanned and the count is exact at any threshold.
+  [[nodiscard]] double min_human_separation() const;
+  /// Count of recorded separation samples below `threshold_m`, answered
+  /// from the "worksite.separation_m" bins in O(bins): thresholds are
+  /// rounded up to the next bin edge (separation_tracking_m / 25, i.e.
+  /// 2 m by default).
   [[nodiscard]] std::uint64_t close_encounters(double threshold_m) const;
-  /// Streaming moments (mean/stddev/min/max) over all separation samples.
-  [[nodiscard]] const core::RunningStats& separation_stats() const {
-    return separation_stats_;
-  }
-  [[nodiscard]] const core::Histogram& separation_histogram() const {
-    return separation_hist_;
-  }
-  /// Retained samples (nullptr unless config.exact_separation_samples).
-  [[nodiscard]] const core::SampleSet* separation_samples() const {
-    return separation_exact_ ? &*separation_exact_ : nullptr;
-  }
 
  private:
   struct ForwarderState {
@@ -423,9 +405,9 @@ class Worksite {
   obs::Counter* c_cycles_ = nullptr;
   obs::Counter* c_sep_queries_ = nullptr;
   obs::Gauge* g_delivered_ = nullptr;
-  /// Separation distances (deterministic: fed in slot-then-query order)
-  /// and step wall-time ("wall." prefix keeps it out of the
-  /// deterministic export).
+  /// Separation distances — the one sink of every separation read
+  /// (deterministic: fed in slot-then-query order) — and step wall-time
+  /// ("wall." prefix keeps it out of the deterministic export).
   obs::Histogram* h_separation_ = nullptr;
   obs::Histogram* h_step_wall_ = nullptr;
   obs::PhaseId ph_step_ = 0;
@@ -436,11 +418,6 @@ class Worksite {
   obs::PhaseId ph_index_ = 0;
   obs::PhaseId ph_separation_ = 0;
   obs::PhaseId ph_follow_ = 0;
-
-  double min_separation_ = 1e9;
-  core::RunningStats separation_stats_;
-  core::Histogram separation_hist_;
-  std::optional<core::SampleSet> separation_exact_;
 };
 
 }  // namespace agrarsec::sim

@@ -78,36 +78,5 @@ TEST(SampleSet, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h{0.0, 2.0, 2};
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace agrarsec::core

@@ -346,11 +346,43 @@ TEST(ConsoleHttp, FlightCursorPollsDoNotOverlap) {
   EXPECT_EQ(parse_next_cursor(next.value()),
             fleet.session(a)->telemetry().recorder().total_recorded());
 
-  // Cursorless polls keep the legacy tail semantics (overlap allowed) and
-  // now carry the resume cursor too.
-  auto tail = http_get_local(console.http_port(), base + "?n=4");
-  ASSERT_TRUE(tail.ok());
-  EXPECT_NE(tail.value().find("\"next_cursor\":"), std::string::npos);
+  // A cursorless poll is the cursor read at cursor=0, byte for byte.
+  auto cursorless = http_get_local(console.http_port(), base + "?n=2");
+  auto from_zero = http_get_local(console.http_port(), base + "?cursor=0&n=2");
+  ASSERT_TRUE(cursorless.ok());
+  ASSERT_TRUE(from_zero.ok());
+  EXPECT_EQ(cursorless.value(), from_zero.value());
+  EXPECT_EQ(parse_next_cursor(cursorless.value()), 2u);
+  console.stop();
+}
+
+// A cursor past the newest event (say, one kept from an older service
+// run) is refused on both flight routes instead of being echoed back: a
+// poll would otherwise page empty forever, and a stream would later skip
+// the events below the cursor without a "dropped" frame.
+TEST(ConsoleHttp, FutureFlightCursorIsRejected) {
+  ConsoleFixture f;
+  FleetService fleet = ConsoleFixture::make_fleet();
+  const SessionId a = add_session(fleet, 0);
+  fleet.step_all(5);
+
+  ConsoleService console{fleet, f.console_id, f.trust, 43};
+  ASSERT_TRUE(console.start().ok());
+  const std::uint64_t total =
+      fleet.session(a)->telemetry().recorder().total_recorded();
+  const std::string future = "?cursor=" + std::to_string(total + 1);
+  for (const std::string route : {"/flight/", "/stream/flight/"}) {
+    auto refused = http_get_local(console.http_port(),
+                                  route + std::to_string(a) + future, 1000);
+    ASSERT_FALSE(refused.ok()) << route;
+    EXPECT_EQ(refused.error().code, "status") << route;
+    EXPECT_EQ(refused.error().message, "400") << route;
+  }
+  // The newest cursor itself is a valid, caught-up poll.
+  auto caught_up = http_get_local(
+      console.http_port(), "/flight/" + std::to_string(a) + "?cursor=" + std::to_string(total));
+  ASSERT_TRUE(caught_up.ok());
+  EXPECT_EQ(parse_next_cursor(caught_up.value()), total);
   console.stop();
 }
 

@@ -158,22 +158,36 @@ TEST(Worksite, PileReferencesSurviveCompaction) {
 }
 
 TEST(Worksite, SeparationStatsStreamed) {
-  // min/close-encounter metrics are answered from streaming statistics
-  // (histogram + running moments), not a stored per-step sample list.
-  Worksite site{small_site(), 42};
+  // Every separation read is answered from the one registry histogram
+  // "worksite.separation_m", not a stored per-step sample list.
+  const WorksiteConfig config = small_site();
+  Worksite site{config, 42};
+  EXPECT_EQ(site.min_human_separation(), 1e9);  // no sample yet
+  EXPECT_EQ(site.metrics().min_human_separation, 1e9);
   site.add_harvester("h1", {60, 60});
   site.add_forwarder("f1", {50, 50});
   site.add_worker("w1", {60, 60}, {60, 60});
   for (int i = 0; i < 6000; ++i) site.step();
 
-  const auto& stats = site.separation_stats();
-  ASSERT_GT(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.min(), site.min_human_separation());
-  EXPECT_LE(stats.min(), stats.mean());
-  // The histogram and the running stats see the same sample stream.
-  EXPECT_EQ(site.separation_histogram().total(), stats.count());
-  // Thresholds at/above the tracked range cover every recorded sample.
-  EXPECT_EQ(site.close_encounters(1e9), stats.count());
+  const obs::Histogram& h =
+      site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1);
+  ASSERT_GT(h.count(), 0u);
+  EXPECT_EQ(site.min_human_separation(), h.min());
+  const Worksite::Metrics m = site.metrics();
+  EXPECT_EQ(m.min_human_separation, h.min());
+  EXPECT_EQ(m.separation_samples, h.count());
+  // At every 2 m bin edge the count is underflow plus the bins below the
+  // edge, plus overflow once the edge passes the tracked range.
+  for (double edge = 0.0; edge <= config.separation_tracking_m + 2.0; edge += 2.0) {
+    std::uint64_t expected = h.underflow();
+    for (std::size_t i = 0; i < h.bins() && h.bin_low(i) < edge; ++i) {
+      expected += h.bin_count(i);
+    }
+    if (edge > config.separation_tracking_m) expected += h.overflow();
+    EXPECT_EQ(site.close_encounters(edge), expected) << "threshold " << edge;
+  }
+  // Thresholds above the tracked range cover every recorded sample.
+  EXPECT_EQ(site.close_encounters(1e9), h.count());
 }
 
 TEST(Worksite, EventBusPublishesPilesAndCycles) {
